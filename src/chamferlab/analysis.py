@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import Matching, PointCloud
 from .errors import ConstructionError, InvalidInputError, MidpointAmbiguityError
 from .metrics import chamfer_l1, dcd
 from .objective import FcdWeights, fcd, fcd_gradient
@@ -176,12 +176,13 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
     for x in config.xs:
         p2 = np.array([x, 0.0])
         p = PointCloud(np.stack([config.p1, p2]))
+        m = Matching(p, g)
         values = {}
         grads = {}
         for label, weights in (("cd", _CD_WEIGHTS), ("fcd", config.weights)):
             for r in (1, 2):
-                values[f"{label}_l{r}"] = fcd(p, g, weights, r)
-                grads[f"{label}_l{r}"] = fcd_gradient(p, g, weights, r)[1]
+                values[f"{label}_l{r}"] = fcd(p, g, weights, r, matching=m)
+                grads[f"{label}_l{r}"] = fcd_gradient(p, g, weights, r, matching=m)[1]
         closed = closed_form_gradients(p2, config.g1, config.g2, config.p1, config.weights)
         for key in ("cd_l1", "fcd_l1", "cd_l2", "fcd_l2"):
             gap = np.abs(grads[key] - getattr(closed, key)).max()
@@ -268,7 +269,8 @@ def build_ambiguity_pair(
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-0.45 * pitch, 0.45 * pitch, size=grid.shape)
     uniform = PointCloud(grid + jitter)
-    cd_uniform = chamfer_l1(uniform, target)
+    uniform_m = Matching(uniform, target)
+    cd_uniform = chamfer_l1(uniform, target, matching=uniform_m)
 
     # anchors: a checkerboard half of the grid; each carries a pair of points
     ii, jj = np.divmod(np.arange(n), cols)
@@ -301,11 +303,12 @@ def build_ambiguity_pair(
         raise ConstructionError("Chamfer matching bisection did not converge in 200 iterations")
 
     clustered_cloud = clustered(offset)
+    clustered_m = Matching(clustered_cloud, target)
     report = AmbiguityReport(
-        cd_clustered=chamfer_l1(clustered_cloud, target),
+        cd_clustered=chamfer_l1(clustered_cloud, target, matching=clustered_m),
         cd_uniform=cd_uniform,
-        dcd_clustered=dcd(clustered_cloud, target, temperature),
-        dcd_uniform=dcd(uniform, target, temperature),
+        dcd_clustered=dcd(clustered_cloud, target, temperature, matching=clustered_m),
+        dcd_uniform=dcd(uniform, target, temperature, matching=uniform_m),
         temperature=float(temperature),
         cluster_offset=float(offset),
     )

@@ -217,20 +217,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _batch_pair(pred_path: Path, gt_path: Path, args: argparse.Namespace) -> str:
-    pred = read_cloud(pred_path)
-    gt = read_cloud(gt_path)
-    emd_value = None
-    if len(pred) == len(gt) and len(pred) <= EMD_EXACT_MAX:
-        emd_value = emd_exact(pred, gt)
-    report = MetricReport(
-        cd_l1=chamfer_l1(pred, gt),
-        cd_l2=chamfer_l2(pred, gt),
-        dcd=dcd(pred, gt, args.dcd_temperature),
-        emd=emd_value,
-        fscore=fscore(pred, gt, args.fscore_threshold),
-        hausdorff=hausdorff(pred, gt),
-    )
+def _batch_row(pred_path: Path, gt_path: Path, args: argparse.Namespace) -> str:
+    report = _compute_report(read_cloud(pred_path), read_cloud(gt_path), args)
     return f"{pred_path.name},{report.csv_row()}"
 
 
@@ -257,7 +245,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     lines = ["file," + MetricReport.csv_header()]
     if pairs:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            rows = pool.map(lambda pair: _batch_pair(pair[0], pair[1], args), pairs)
+            rows = pool.map(lambda pair: _batch_row(pair[0], pair[1], args), pairs)
             lines.extend(rows)  # map preserves input order
     content = "\n".join(lines) + "\n"
     if args.out:
@@ -310,6 +298,14 @@ def _add_schedule_flags(parser: argparse.ArgumentParser, with_kind_arg: bool) ->
     parser.add_argument("--sigma", type=float, default=200.0, help="exponential decay rate")
 
 
+def _add_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--fscore-threshold", type=float, default=0.01)
+    parser.add_argument("--dcd-temperature", type=float, default=1000.0)
+    parser.add_argument("--emd-approx", action="store_true", help="use the entropic EMD solver")
+    parser.add_argument("--emd-iterations", type=int, default=1000)
+    parser.add_argument("--emd-epsilon", type=float, default=0.01)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chamferlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"chamferlab {__version__}")
@@ -320,11 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gt")
     p.add_argument("--mesh", help="ASCII PLY mesh for point-to-mesh distance")
     p.add_argument("--partial-input", help="partial input cloud for the fidelity metric")
-    p.add_argument("--fscore-threshold", type=float, default=0.01)
-    p.add_argument("--dcd-temperature", type=float, default=1000.0)
-    p.add_argument("--emd-approx", action="store_true", help="use the entropic EMD solver")
-    p.add_argument("--emd-iterations", type=int, default=1000)
-    p.add_argument("--emd-epsilon", type=float, default=0.01)
+    _add_report_flags(p)
     p.add_argument("--csv", help="also write the report as a CSV file")
     p.add_argument("--out-dir", help="write report.json, report.csv, and a manifest here")
     p.set_defaults(func=cmd_metrics)
@@ -370,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-suffix", default="_pred")
     p.add_argument("--gt-suffix", default="_gt")
     p.add_argument("--parallelism", type=int, default=1)
-    p.add_argument("--fscore-threshold", type=float, default=0.01)
-    p.add_argument("--dcd-temperature", type=float, default=1000.0)
+    _add_report_flags(p)
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.set_defaults(func=cmd_batch)
 

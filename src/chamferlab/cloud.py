@@ -5,13 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 
-# Below this source-cloud size a vectorized scan beats tree traversal; both
-# paths use the same squared-distance arithmetic and the same first-minimum
-# (lowest index) tie rule, so results are bit-identical.
+# Up to this target size a vectorized scan beats a kd-tree query (at 2 points
+# a query costs about 60 us against 16 us for the scan; the two cross between
+# 32 and 64 points). Both paths use the same squared-distance arithmetic and
+# the same lowest-index tie rule, so results are bit-identical.
 _BRUTE_FORCE_MAX = 64
+# kd-tree candidates closer than this relative gap are settled exactly
+_TIE_RTOL = 1e-9
 
 
 def _as_points(points, dim: int | None = None) -> np.ndarray:
@@ -62,117 +66,39 @@ class PointCloud:
         )
 
 
-def _leaf_min(pts: np.ndarray, q: np.ndarray, indices: np.ndarray) -> tuple[float, int]:
-    diff = pts - q
-    sq = (diff * diff).sum(axis=1)
-    j = int(np.argmin(sq))  # first minimum; indices are sorted, so lowest wins
-    return float(sq[j]), int(indices[j])
+def _row_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row-wise squared distances, with the arithmetic of the brute-force scan."""
+    diff = queries - points
+    return (diff * diff).sum(axis=-1)
 
 
 class NNIndex:
     """Exact nearest-neighbor index over a point cloud.
 
-    Median-split kd-tree with bucket leaves. Immutable after construction and
-    safe to query concurrently. Answers are identical to a brute-force scan,
-    with distance ties broken toward the lowest point index.
+    Backed by scipy's cKDTree. Immutable after construction and safe to query
+    concurrently. Answers are identical to a brute-force scan, with distance
+    ties broken toward the lowest point index.
     """
-
-    _LEAF_SIZE = 16
 
     def __init__(self, cloud: PointCloud):
         self.source = cloud
-        pts = cloud.points
-        n, dim = pts.shape
-        self._pts = pts
-        self._dim = dim
-        # flat node storage: axis[i] == -1 marks a leaf owning perm[lo[i]:hi[i]]
-        self._axis: list[int] = []
-        self._threshold: list[float] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._lo: list[int] = []
-        self._hi: list[int] = []
-        self._perm = np.empty(n, dtype=np.intp)
-        self._fill = 0
-        self._root = self._build(np.arange(n, dtype=np.intp), 0)
-
-    def _new_node(self) -> int:
-        self._axis.append(-1)
-        self._threshold.append(0.0)
-        self._left.append(-1)
-        self._right.append(-1)
-        self._lo.append(0)
-        self._hi.append(0)
-        return len(self._axis) - 1
-
-    def _build(self, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        if len(idx) <= self._LEAF_SIZE:
-            # sorted leaves make the in-leaf argmin pick the lowest index on ties
-            idx = np.sort(idx)
-            lo = self._fill
-            self._perm[lo : lo + len(idx)] = idx
-            self._fill = lo + len(idx)
-            self._lo[node] = lo
-            self._hi[node] = self._fill
-            return node
-        axis = depth % self._dim
-        mid = len(idx) // 2
-        order = np.argpartition(self._pts[idx, axis], mid)
-        idx = idx[order]
-        self._axis[node] = axis
-        self._threshold[node] = float(self._pts[idx[mid], axis])
-        self._left[node] = self._build(idx[:mid], depth + 1)
-        self._right[node] = self._build(idx[mid:], depth + 1)
-        return node
+        self.tree = cKDTree(cloud.points)
 
     def query(self, q) -> tuple[int, float]:
         """Return (index, Euclidean distance) of the nearest source point to q."""
         q = np.asarray(q, dtype=np.float64).reshape(-1)
-        if q.shape[0] != self._dim:
+        if q.shape[0] != self.source.dim:
             raise InvalidInputError(
-                f"query has dim {q.shape[0]}, index holds dim {self._dim} points"
+                f"query has dim {q.shape[0]}, index holds dim {self.source.dim} points"
             )
         if not np.isfinite(q).all():
             raise InvalidInputError("query contains NaN or infinite coordinates")
-        best_sq, best_idx = self._search(self._root, q, np.inf, -1)
-        return best_idx, float(np.sqrt(best_sq))
-
-    def _search(self, node: int, q: np.ndarray, best_sq: float, best_idx: int):
-        axis = self._axis[node]
-        if axis < 0:
-            lo, hi = self._lo[node], self._hi[node]
-            ids = self._perm[lo:hi]
-            sq, idx = _leaf_min(self._pts[ids], q, ids)
-            if sq < best_sq or (sq == best_sq and idx < best_idx):
-                return sq, idx
-            return best_sq, best_idx
-        delta = q[axis] - self._threshold[node]
-        if delta < 0.0:
-            near, far = self._left[node], self._right[node]
-        else:
-            near, far = self._right[node], self._left[node]
-        best_sq, best_idx = self._search(near, q, best_sq, best_idx)
-        # equal plane distance can still hide an equal-distance, lower-index point
-        if delta * delta <= best_sq:
-            best_sq, best_idx = self._search(far, q, best_sq, best_idx)
-        return best_sq, best_idx
+        idx, dists = self.query_many(q[None, :])
+        return int(idx[0]), float(dists[0])
 
     def query_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query; returns (indices, distances) arrays."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self._dim:
-            raise InvalidInputError(
-                f"queries must have shape (m, {self._dim}), got {queries.shape}"
-            )
-        n = queries.shape[0]
-        indices = np.empty(n, dtype=np.intp)
-        dists = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            sq, idx = self._search(self._root, queries[i], np.inf, -1)
-            indices[i] = idx
-            dists[i] = np.sqrt(sq)
-        return indices, dists
+        return nearest_neighbors(queries, self.source, self)
 
 
 def build_index(cloud: PointCloud) -> NNIndex:
@@ -195,12 +121,43 @@ def _nearest_brute(sources: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray
     chunk = max(1, int(4_000_000 // max(1, sources.shape[0])))
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
-        diff = queries[s:e, None, :] - sources[None, :, :]
-        sq = (diff * diff).sum(axis=2)
+        sq = _row_sq_dists(queries[s:e, None, :], sources[None, :, :])
         idx = np.argmin(sq, axis=1)  # first minimum = lowest index
         indices[s:e] = idx
         dists[s:e] = np.sqrt(sq[np.arange(e - s), idx])
     return indices, dists
+
+
+def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
+    """Exact nearest neighbors from a kd-tree, bit-identical to the scan.
+
+    The tree proposes its two nearest candidates. Where their tree distances
+    lie within a relative _TIE_RTOL, the tree's rounding may have ordered an
+    exact tie (or a larger one, on lattices) arbitrarily: every source point
+    within that reach is gathered with one ball query, and the row keeps the
+    lowest index among the exact minima of the scan's arithmetic. Elsewhere
+    the first candidate is the unique nearest point and only its distance is
+    recomputed. A 1-point target yields one candidate, which the ball query
+    settles like a tie.
+    """
+    k = min(2, len(sources))
+    dist, cand = tree.query(queries, k=k)
+    dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
+    indices = cand[:, 0].copy()
+    best = _row_sq_dists(queries, sources[indices])
+    rows = np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + _TIE_RTOL))
+    if rows.size:
+        reach = np.nextafter(dist[rows, -1] * (1.0 + _TIE_RTOL), np.inf)
+        found = tree.query_ball_point(queries[rows], reach)
+        counts = np.fromiter(map(len, found), dtype=np.intp, count=len(rows))
+        ids = np.concatenate(found).astype(np.intp)
+        ball_sq = _row_sq_dists(queries[np.repeat(rows, counts)], sources[ids])
+        starts = np.cumsum(counts) - counts
+        row_min = np.minimum.reduceat(ball_sq, starts)
+        exact = ball_sq == np.repeat(row_min, counts)
+        indices[rows] = np.minimum.reduceat(np.where(exact, ids, len(sources)), starts)
+        best[rows] = row_min
+    return indices, np.sqrt(best)
 
 
 def nearest_neighbors(
@@ -216,11 +173,53 @@ def nearest_neighbors(
         raise InvalidInputError(
             f"queries must have shape (m, {target.dim}), got {queries.shape}"
         )
-    if index is not None:
-        return index.query_many(queries)
     if len(target) <= _BRUTE_FORCE_MAX:
         return _nearest_brute(target.points, queries)
-    return build_index(target).query_many(queries)
+    if index is None:
+        index = build_index(target)
+    return _nearest_tree(index.tree, target.points, queries)
+
+
+class Matching:
+    """Both nearest-neighbor directions between a prediction p and a target g.
+
+    ``p_to_g`` holds (indices, distances) of the target point nearest each
+    predicted point, ``g_to_p`` the reverse, and the hit counts say how many
+    points select each point as their match. Every Chamfer-family value and
+    gradient is a reduction over one matching. Each direction is searched on
+    first use, so a caller that needs one direction pays for one pass.
+    """
+
+    def __init__(self, p: PointCloud, g: PointCloud):
+        if p.dim != g.dim:
+            raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
+        self.p = p
+        self.g = g
+        self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = None
+
+    @property
+    def p_to_g(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._p_to_g is None:
+            self._p_to_g = nearest_neighbors(self.p.points, self.g)
+        return self._p_to_g
+
+    @property
+    def g_to_p(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._g_to_p is None:
+            self._g_to_p = nearest_neighbors(self.g.points, self.p)
+        return self._g_to_p
+
+    @property
+    def hits_on_g(self) -> np.ndarray:
+        if self._hits_on_g is None:
+            self._hits_on_g = np.bincount(self.p_to_g[0], minlength=len(self.g))
+        return self._hits_on_g
+
+    @property
+    def hits_on_p(self) -> np.ndarray:
+        if self._hits_on_p is None:
+            self._hits_on_p = np.bincount(self.g_to_p[0], minlength=len(self.p))
+        return self._hits_on_p
 
 
 def nearest_hit_counts(queries: PointCloud, index: NNIndex) -> np.ndarray:

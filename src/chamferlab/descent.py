@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, subsample
+from .cloud import Matching, PointCloud, subsample
 from .errors import DivergenceError, InvalidInputError
 from .metrics import EMD_EXACT_MAX, cd_global, cd_local, chamfer_l1, dcd, emd_exact
 from .objective import (
@@ -161,8 +161,23 @@ def support_pinning(cloud: PointCloud, pinned) -> np.ndarray:
     return idx
 
 
-def _snapshot_emd(points: np.ndarray, target: PointCloud, seed: int) -> float:
-    p = PointCloud(points)
+def _snapshot(epoch: int, value: float, weights: FcdWeights, grads: tuple[np.ndarray, ...],
+              p: PointCloud, target: PointCloud, seed: int) -> TraceRecord:
+    """Trace record at p; its snapshot metrics share one matching of (p, target)."""
+    m = Matching(p, target)
+    return TraceRecord(
+        epoch=epoch,
+        objective=value,
+        alpha=weights.alpha,
+        beta=weights.beta,
+        cd_l1=chamfer_l1(p, target, matching=m),
+        dcd=dcd(p, target, matching=m),
+        emd=_snapshot_emd(p, target, seed),
+        grad_max=max(float(np.linalg.norm(g, axis=1).max()) if g.size else 0.0 for g in grads),
+    )
+
+
+def _snapshot_emd(p: PointCloud, target: PointCloud, seed: int) -> float:
     if len(p) == len(target) and len(p) <= EMD_EXACT_MAX:
         return emd_exact(p, target)
     k = min(128, len(p), len(target))
@@ -201,22 +216,20 @@ class _Loss:
     def value_grad(self, points: np.ndarray, target: PointCloud, epoch: int):
         """Returns (objective, point gradient, weights, state gradient or None)."""
         p = PointCloud(points)
+        m = Matching(p, target)
         weights = self.weights_at(epoch)
         if self.objective.kind == "dcd-loss":
             temp = self.objective.dcd_temperature
-            return dcd(p, target, temp), dcd_gradient(p, target, temp), weights, None
+            value = dcd(p, target, temp, matching=m)
+            return value, dcd_gradient(p, target, temp, matching=m), weights, None
         if self.state is not None:
-            local = cd_local(p, target, self.r)
-            glob = cd_global(p, target, self.r)
+            local = cd_local(p, target, self.r, matching=m)
+            glob = cd_global(p, target, self.r, matching=m)
             total, state_grad = uncertainty_loss(local, glob, self.state)
-            grad = fcd_gradient(p, target, weights, self.r)
+            grad = fcd_gradient(p, target, weights, self.r, matching=m)
             return total, grad, weights, state_grad
-        return (
-            fcd(p, target, weights, self.r),
-            fcd_gradient(p, target, weights, self.r),
-            weights,
-            None,
-        )
+        value = fcd(p, target, weights, self.r, matching=m)
+        return value, fcd_gradient(p, target, weights, self.r, matching=m), weights, None
 
 
 def optimize(
@@ -245,19 +258,8 @@ def optimize(
     initial_value: float | None = None
 
     def record(epoch: int, value: float, weights: FcdWeights, grad: np.ndarray) -> None:
-        grad_max = float(np.linalg.norm(grad, axis=1).max()) if grad.size else 0.0
-        records.append(
-            TraceRecord(
-                epoch=epoch,
-                objective=value,
-                alpha=weights.alpha,
-                beta=weights.beta,
-                cd_l1=chamfer_l1(PointCloud(x), target),
-                dcd=dcd(PointCloud(x), target),
-                emd=_snapshot_emd(x, target, config.seed),
-                grad_max=grad_max,
-            )
-        )
+        snap = PointCloud(x)
+        records.append(_snapshot(epoch, value, weights, (grad,), snap, target, config.seed))
 
     for step in range(config.steps):
         value, grad, weights, state_grad = loss.value_grad(x, target, step)
@@ -339,11 +341,15 @@ def optimize_hierarchical(
         fine_weights = schedule_weights(schedule, clamped, state)
         coarse_cloud = PointCloud(coarse)
         fine_cloud = PointCloud(fine_points())
-        value = fcd(coarse_cloud, coarse_target, coarse_weights, r) + fcd(
-            fine_cloud, target, fine_weights, r
+        coarse_m = Matching(coarse_cloud, coarse_target)
+        fine_m = Matching(fine_cloud, target)
+        value = fcd(coarse_cloud, coarse_target, coarse_weights, r, matching=coarse_m) + fcd(
+            fine_cloud, target, fine_weights, r, matching=fine_m
         )
-        grad_coarse = fcd_gradient(coarse_cloud, coarse_target, coarse_weights, r)
-        grad_fine = fcd_gradient(fine_cloud, target, fine_weights, r)
+        grad_coarse = fcd_gradient(
+            coarse_cloud, coarse_target, coarse_weights, r, matching=coarse_m
+        )
+        grad_fine = fcd_gradient(fine_cloud, target, fine_weights, r, matching=fine_m)
         # children chain back onto their coarse parent
         total_coarse = grad_coarse + grad_fine.reshape(hierarchy.coarse_count, m, -1).sum(axis=1)
         return value, total_coarse, grad_fine, fine_weights
@@ -357,32 +363,16 @@ def optimize_hierarchical(
         if value > DIVERGENCE_FACTOR * max(initial_value, 1e-12):
             raise DivergenceError(f"objective diverged at step {step}")
         if step % config.record_every == 0:
-            grad_max = float(
-                max(
-                    np.linalg.norm(grad_coarse, axis=1).max(),
-                    np.linalg.norm(grad_fine, axis=1).max(),
-                )
-            )
-            fine_cloud = PointCloud(fine_points())
-            records.append(
-                TraceRecord(
-                    epoch=step,
-                    objective=value,
-                    alpha=fine_weights.alpha,
-                    beta=fine_weights.beta,
-                    cd_l1=chamfer_l1(fine_cloud, target),
-                    dcd=dcd(fine_cloud, target),
-                    emd=_snapshot_emd(fine_cloud.points, target, config.seed),
-                    grad_max=grad_max,
-                )
-            )
+            snap, grads = PointCloud(fine_points()), (grad_coarse, grad_fine)
+            records.append(_snapshot(step, value, fine_weights, grads, snap, target, config.seed))
         coarse = coarse - config.step_size * grad_coarse
         if not freeze_offsets:
             offsets = offsets - config.step_size * grad_fine
         if state is not None:
             fine_cloud = PointCloud(fine_points())
-            local = cd_local(fine_cloud, target, r)
-            glob = cd_global(fine_cloud, target, r)
+            fine_m = Matching(fine_cloud, target)
+            local = cd_local(fine_cloud, target, r, matching=fine_m)
+            glob = cd_global(fine_cloud, target, r, matching=fine_m)
             _, state_grad = uncertainty_loss(local, glob, state)
             state = UncertaintyState(
                 s_local=state.s_local - config.step_size * state_grad[0],
@@ -390,24 +380,9 @@ def optimize_hierarchical(
             )
 
     value, grad_coarse, grad_fine, fine_weights = evaluate(config.steps)
-    fine_cloud = PointCloud(fine_points())
-    records.append(
-        TraceRecord(
-            epoch=config.steps,
-            objective=value,
-            alpha=fine_weights.alpha,
-            beta=fine_weights.beta,
-            cd_l1=chamfer_l1(fine_cloud, target),
-            dcd=dcd(fine_cloud, target),
-            emd=_snapshot_emd(fine_cloud.points, target, config.seed),
-            grad_max=float(
-                max(
-                    np.linalg.norm(grad_coarse, axis=1).max(),
-                    np.linalg.norm(grad_fine, axis=1).max(),
-                )
-            ),
-        )
-    )
+    fine_cloud, grads = PointCloud(fine_points()), (grad_coarse, grad_fine)
+    final = _snapshot(config.steps, value, fine_weights, grads, fine_cloud, target, config.seed)
+    records.append(final)
     return fine_cloud, PointCloud(coarse), OptimizationTrace(records)
 
 

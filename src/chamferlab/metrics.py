@@ -10,7 +10,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from .cloud import PointCloud, TriangleMesh, nearest_neighbors
+from .cloud import Matching, PointCloud, TriangleMesh
+from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError
 
 EMD_EXACT_MAX = 1024
@@ -26,46 +27,54 @@ def _check_r(r: int) -> None:
         raise InvalidInputError(f"distance order r must be 1 or 2, got {r}")
 
 
-def _min_dists(src: PointCloud, dst: PointCloud) -> np.ndarray:
-    """Distance from each src point to its nearest dst point."""
-    _, dists = nearest_neighbors(src.points, dst)
-    return dists
+def _matched(p: PointCloud, g: PointCloud, matching: Matching | None) -> Matching:
+    """The matching of (p, g): the one the caller already holds, or a new one."""
+    if matching is None:
+        return Matching(p, g)
+    if matching.p is not p or matching.g is not g:
+        raise InvalidInputError("matching was computed for a different cloud pair")
+    return matching
 
 
-def cd_local(p: PointCloud, g: PointCloud, r: int = 1) -> float:
+def cd_local(p: PointCloud, g: PointCloud, r: int = 1, *,
+             matching: Matching | None = None) -> float:
     """Mean nearest-neighbor distance (order r) from predicted points to the target.
 
     Measures local precision: each predicted point only needs to sit close to
-    some target point.
+    some target point. ``matching`` reuses an existing matching of (p, g).
     """
-    _check_pair(p, g)
+    m = _matched(p, g, matching)
     _check_r(r)
-    d = _min_dists(p, g)
+    _, d = m.p_to_g
     return float(np.mean(d if r == 1 else d * d))
 
 
-def cd_global(p: PointCloud, g: PointCloud, r: int = 1) -> float:
+def cd_global(p: PointCloud, g: PointCloud, r: int = 1, *,
+              matching: Matching | None = None) -> float:
     """Mean nearest-neighbor distance (order r) from target points to the prediction.
 
     Measures coverage: every target point must have a nearby predicted point.
     """
-    _check_pair(p, g)
+    m = _matched(p, g, matching)
     _check_r(r)
-    d = _min_dists(g, p)
+    _, d = m.g_to_p
     return float(np.mean(d if r == 1 else d * d))
 
 
-def chamfer_l1(p: PointCloud, g: PointCloud) -> float:
+def chamfer_l1(p: PointCloud, g: PointCloud, *, matching: Matching | None = None) -> float:
     """Symmetric Chamfer distance with Euclidean terms, halved."""
-    return 0.5 * (cd_local(p, g, 1) + cd_global(p, g, 1))
+    m = _matched(p, g, matching)
+    return 0.5 * (cd_local(p, g, 1, matching=m) + cd_global(p, g, 1, matching=m))
 
 
 def chamfer_l2(p: PointCloud, g: PointCloud) -> float:
     """Symmetric Chamfer distance with squared-Euclidean terms (no halving)."""
-    return cd_local(p, g, 2) + cd_global(p, g, 2)
+    m = Matching(p, g)
+    return cd_local(p, g, 2, matching=m) + cd_global(p, g, 2, matching=m)
 
 
-def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0) -> float:
+def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
+        matching: Matching | None = None) -> float:
     """Density-aware Chamfer distance, bounded to [0, 1].
 
     Each nearest-neighbor term is discounted by how many points share the same
@@ -73,15 +82,13 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0) -> float:
     with equal plain Chamfer distance. ``temperature`` scales the exponential
     distance kernel.
     """
-    _check_pair(p, g)
+    m = _matched(p, g, matching)
     if temperature <= 0:
         raise InvalidInputError(f"temperature must be positive, got {temperature}")
-    gi, gd = nearest_neighbors(p.points, g)
-    pi, pd = nearest_neighbors(g.points, p)
-    hits_on_g = np.bincount(gi, minlength=len(g))
-    hits_on_p = np.bincount(pi, minlength=len(p))
-    term_p = np.mean(1.0 - np.exp(-temperature * gd) / hits_on_g[gi])
-    term_g = np.mean(1.0 - np.exp(-temperature * pd) / hits_on_p[pi])
+    gi, gd = m.p_to_g
+    pi, pd = m.g_to_p
+    term_p = np.mean(1.0 - np.exp(-temperature * gd) / m.hits_on_g[gi])
+    term_g = np.mean(1.0 - np.exp(-temperature * pd) / m.hits_on_p[pi])
     return float(0.5 * (term_p + term_g))
 
 
@@ -150,11 +157,11 @@ def emd_approx(
 
 def fscore(p: PointCloud, g: PointCloud, threshold: float = 0.01) -> float:
     """Harmonic mean of precision and recall at a distance threshold."""
-    _check_pair(p, g)
+    m = Matching(p, g)
     if threshold <= 0:
         raise InvalidInputError(f"threshold must be positive, got {threshold}")
-    precision = float(np.mean(_min_dists(p, g) <= threshold))
-    recall = float(np.mean(_min_dists(g, p) <= threshold))
+    precision = float(np.mean(m.p_to_g[1] <= threshold))
+    recall = float(np.mean(m.g_to_p[1] <= threshold))
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -162,8 +169,8 @@ def fscore(p: PointCloud, g: PointCloud, threshold: float = 0.01) -> float:
 
 def hausdorff(p: PointCloud, g: PointCloud) -> float:
     """Maximum nearest-neighbor mismatch over both directions."""
-    _check_pair(p, g)
-    return float(max(_min_dists(p, g).max(), _min_dists(g, p).max()))
+    m = Matching(p, g)
+    return float(max(m.p_to_g[1].max(), m.g_to_p[1].max()))
 
 
 def fidelity(partial_input: PointCloud, output: PointCloud) -> float:

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, nearest_neighbors
+from .cloud import Matching, PointCloud
+from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError
-from .metrics import _check_r, cd_global, cd_local
+from .metrics import _check_r, _matched, cd_global, cd_local
 
 SCHEDULE_KINDS = ("static", "stair", "linear", "abridged-linear", "exponential", "uncertainty")
 
@@ -102,9 +103,12 @@ class UncertaintyState:
         return FcdWeights(alpha=math.exp(-self.s_local), beta=math.exp(-self.s_global))
 
 
-def fcd(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1) -> float:
+def fcd(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, *,
+        matching: Matching | None = None) -> float:
     """Weighted Chamfer objective: alpha * local-fit term + beta * coverage term."""
-    return weights.alpha * cd_local(p, g, r) + weights.beta * cd_global(p, g, r)
+    m = _matched(p, g, matching)
+    local, coverage = cd_local(p, g, r, matching=m), cd_global(p, g, r, matching=m)
+    return weights.alpha * local + weights.beta * coverage
 
 
 def _direction(diff: np.ndarray, dist: np.ndarray, r: int) -> np.ndarray:
@@ -121,18 +125,18 @@ def _direction(diff: np.ndarray, dist: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1) -> np.ndarray:
+def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, *,
+                 matching: Matching | None = None) -> np.ndarray:
     """Gradient of the weighted Chamfer objective with respect to each predicted point.
 
     Nearest-neighbor assignments are frozen at the current configuration (the
-    subgradient of the min), and recomputed on every call. Returns an
-    (n, dim) array aligned with p.
+    subgradient of the min), and recomputed on every call unless ``matching``
+    supplies them. Returns an (n, dim) array aligned with p.
     """
-    if p.dim != g.dim:
-        raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
+    m = _matched(p, g, matching)
     _check_r(r)
-    gi, gd = nearest_neighbors(p.points, g)
-    pi, pd = nearest_neighbors(g.points, p)
+    gi, gd = m.p_to_g
+    pi, pd = m.g_to_p
 
     grad = (weights.alpha / len(p)) * _direction(p.points - g.points[gi], gd, r)
     pull = (weights.beta / len(g)) * _direction(p.points[pi] - g.points, pd, r)
@@ -142,24 +146,22 @@ def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1) 
     return grad
 
 
-def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0) -> np.ndarray:
+def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
+                 matching: Matching | None = None) -> np.ndarray:
     """Gradient of the density-aware Chamfer distance with respect to each predicted point.
 
     Assignments and match counts are frozen at the current configuration, so
     only the exponential distance kernels are differentiated.
     """
-    if p.dim != g.dim:
-        raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
+    m = _matched(p, g, matching)
     if temperature <= 0:
         raise InvalidInputError(f"temperature must be positive, got {temperature}")
-    gi, gd = nearest_neighbors(p.points, g)
-    pi, pd = nearest_neighbors(g.points, p)
-    hits_on_g = np.bincount(gi, minlength=len(g))
-    hits_on_p = np.bincount(pi, minlength=len(p))
+    gi, gd = m.p_to_g
+    pi, pd = m.g_to_p
 
-    kern_p = temperature * np.exp(-temperature * gd) / hits_on_g[gi]
+    kern_p = temperature * np.exp(-temperature * gd) / m.hits_on_g[gi]
     grad = (0.5 / len(p)) * kern_p[:, None] * _direction(p.points - g.points[gi], gd, 1)
-    kern_g = temperature * np.exp(-temperature * pd) / hits_on_p[pi]
+    kern_g = temperature * np.exp(-temperature * pd) / m.hits_on_p[pi]
     pull = (0.5 / len(g)) * kern_g[:, None] * _direction(p.points[pi] - g.points, pd, 1)
     np.add.at(grad, pi, pull)
     return grad

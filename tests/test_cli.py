@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import chamferlab
 from chamferlab import PointCloud
 from chamferlab.cli import main
 from chamferlab.io import write_xyz
@@ -307,6 +309,25 @@ class TestBatchCommand:
         write_xyz(d / "a_pred.xyz", random_cloud(rng, 4))
         assert main(["batch", "--dir", str(d)]) == 2
 
+    @pytest.mark.parametrize("flags", [[], ["--emd-approx", "--emd-iterations", "2"]])
+    def test_emd_above_exact_cap_matches_metrics(self, tmp_path, capsys, flags):
+        # both commands share one report path: same exit code, message and row
+        d = tmp_path / "pairs"
+        d.mkdir()
+        pred, gt = d / "big_pred.xyz", d / "big_gt.xyz"
+        write_xyz(pred, PointCloud(np.random.default_rng(0).random((1100, 3))))
+        write_xyz(gt, PointCloud(np.random.default_rng(1).random((1100, 3))))
+        code = main(["metrics", str(pred), str(gt), *flags])
+        single = capsys.readouterr()
+        assert main(["batch", "--dir", str(d), *flags]) == code
+        batch = capsys.readouterr()
+        assert batch.err == single.err
+        if code == 0:
+            report = json.loads(single.out)
+            assert batch.out.strip().split("\n")[1].split(",")[4] == repr(report["emd"])
+        else:
+            assert code == 3 and "emd" in single.err
+
     def test_bad_parallelism_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -351,10 +372,14 @@ class TestConfigFile:
 
 
 def test_module_entry_point_runs():
+    # the child interpreter finds the package where this one did, installed or not
+    src = os.path.dirname(os.path.dirname(chamferlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chamferlab.cli", "schedule", "--kind", "static", "--T", "4", "--t", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("epoch,alpha,beta")

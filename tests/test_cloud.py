@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from chamferlab import (
     InvalidInputError,
@@ -12,7 +13,7 @@ from chamferlab import (
     nearest_hit_counts,
     subsample,
 )
-from chamferlab.cloud import nearest_neighbors
+from chamferlab.cloud import _nearest_tree, nearest_neighbors
 
 from conftest import brute_force_nearest, random_cloud
 
@@ -107,13 +108,37 @@ class TestNearest:
             assert (indices[k], dists[k]) == idx.query(q)
 
     def test_helper_brute_and_tree_paths_agree(self, rng):
-        queries = rng.random((25, 3))
-        small = random_cloud(rng, 30)  # scan path
-        big = random_cloud(rng, 300)  # tree path
-        for target in (small, big):
-            idx, dist = nearest_neighbors(queries, target)
+        # a 1/32 lattice is exact in binary, so cell centres, face centres and
+        # edge midpoints tie exactly between 8, 4 and 2 lattice points
+        lattice = np.indices((7, 7, 7)).reshape(3, -1).T / 32.0
+        small = random_cloud(rng, 30).points  # scan path
+        targets = (
+            small,
+            random_cloud(rng, 300).points,  # tree path from here on
+            lattice[:65],
+            lattice[:300],
+            np.concatenate([lattice[:40], lattice[:25]]),  # duplicated source points
+            np.concatenate([lattice[:150], lattice[:150]]),
+        )
+        half = 0.5 / 32.0
+        lattice_queries = np.concatenate(
+            [lattice + half, lattice + [half, half, 0.0], lattice + [half, 0.0, 0.0]]
+        )
+        for pts in targets:
+            queries = np.concatenate([rng.random((25, 3)), lattice_queries, pts])  # on sources too
+            idx, dist = nearest_neighbors(queries, PointCloud(pts))
             for k, q in enumerate(queries):
-                assert (idx[k], dist[k]) == brute_force_nearest(target.points, q)
+                assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
+
+    def test_tree_kernel_takes_one_and_two_point_targets(self, rng):
+        # the scan serves such targets, but the kernel must not ask for a
+        # second candidate that a 1-point tree does not have
+        queries = rng.random((20, 3))
+        for n in (1, 2):
+            pts = rng.random((n, 3))
+            idx, dist = _nearest_tree(cKDTree(pts), pts, queries)
+            for k, q in enumerate(queries):
+                assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
 
 
 class TestHitCounts:

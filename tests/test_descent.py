@@ -23,7 +23,7 @@ from chamferlab import (
 )
 from chamferlab import schedule_weights as schedule_weights_fn
 from chamferlab.cloud import nearest_neighbors
-from chamferlab.descent import TRACE_COLUMNS
+from chamferlab.descent import TRACE_COLUMNS, _Loss
 
 from conftest import random_cloud
 
@@ -97,6 +97,25 @@ def test_deterministic_traces(rng):
     final_b, trace_b = optimize(init, target, spec, config)
     assert final_a == final_b
     assert trace_a.to_csv() == trace_b.to_csv()
+
+
+@pytest.mark.parametrize(
+    "objective, schedule",
+    [
+        (ObjectiveSpec("cd-l1"), None),
+        (ObjectiveSpec("fcd", FcdWeights(1.0, 2.0), r=2), None),
+        (ObjectiveSpec("fcd"), ScheduleSpec("uncertainty")),
+        (ObjectiveSpec("dcd-loss"), None),
+    ],
+)
+def test_each_evaluation_and_snapshot_matches_once(rng, nn_calls, objective, schedule):
+    init, target = random_cloud(rng, 70), random_cloud(rng, 80)
+    _Loss(objective, schedule).value_grad(init.points, target, 0)
+    assert nn_calls == [70, 80]
+    nn_calls.clear()
+    config = OptimizerConfig(steps=4, step_size=1e-3, record_every=2)
+    _, trace = optimize(init, target, objective, config, schedule=schedule)
+    assert len(nn_calls) == 2 * (config.steps + 1) + 2 * len(trace.records)
 
 
 def test_objective_decreases_without_assignment_switches(rng):

@@ -22,6 +22,7 @@ from chamferlab import (
     hausdorff,
     point_to_mesh,
 )
+from chamferlab.cloud import Matching
 
 from conftest import random_cloud
 
@@ -274,6 +275,23 @@ class TestFidelity:
     def test_equals_local_term(self, rng):
         partial, out = random_cloud(rng, 20), random_cloud(rng, 35)
         assert fidelity(partial, out) == cd_local(partial, out, 1)
+
+
+class TestSharedMatching:
+    def test_values_equal_fresh_matchings(self, rng):
+        p, g = random_cloud(rng, 90), random_cloud(rng, 70)
+        m = Matching(p, g)
+        assert chamfer_l1(p, g, matching=m) == chamfer_l1(p, g)
+        assert dcd(p, g, 50.0, matching=m) == dcd(p, g, 50.0)
+
+    def test_rejects_a_matching_of_another_pair(self, rng):
+        p, g = random_cloud(rng, 5), random_cloud(rng, 6)
+        with pytest.raises(InvalidInputError):
+            chamfer_l1(g, p, matching=Matching(p, g))
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(InvalidInputError):
+            Matching(random_cloud(rng, 3, dim=2), random_cloud(rng, 3, dim=3))
 
 
 class TestMetricReport:
