@@ -3,7 +3,8 @@ including the coarse-to-fine supervised variant."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,8 +25,6 @@ from .objective import (
 DIVERGENCE_FACTOR = 1e6
 OBJECTIVE_KINDS = ("cd-l1", "cd-l2", "fcd", "dcd-loss")
 
-TRACE_COLUMNS = ("epoch", "objective", "alpha", "beta", "cd_l1", "dcd", "emd", "grad_max")
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -41,8 +40,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
-        if self.step_size <= 0:
-            raise InvalidInputError(f"step_size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise InvalidInputError(f"step_size must be positive and finite, got {self.step_size}")
         if self.update_rule not in ("plain", "momentum"):
             raise InvalidInputError(f"unknown update rule {self.update_rule!r}")
         if not 0.0 <= self.momentum_coeff < 1.0:
@@ -71,8 +70,10 @@ class ObjectiveSpec:
             raise InvalidInputError(f"unknown objective kind {self.kind!r}")
         if self.r not in (1, 2):
             raise InvalidInputError(f"distance order r must be 1 or 2, got {self.r}")
-        if self.dcd_temperature <= 0:
-            raise InvalidInputError("dcd_temperature must be positive")
+        if not 0 < self.dcd_temperature < math.inf:
+            raise InvalidInputError(
+                f"dcd_temperature must be positive and finite, got {self.dcd_temperature}"
+            )
 
     def resolved(self) -> tuple[FcdWeights | None, int]:
         """Fixed (weights, r) for this objective, or (None, r) when scheduled."""
@@ -97,6 +98,9 @@ class TraceRecord:
     grad_max: float
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+
+
 @dataclass
 class OptimizationTrace:
     """Per-step record of objective, weights, snapshot metrics, and gradient size."""
@@ -106,23 +110,8 @@ class OptimizationTrace:
     def to_csv(self) -> str:
         lines = [",".join(TRACE_COLUMNS)]
         for rec in self.records:
-            lines.append(
-                ",".join(
-                    [str(rec.epoch)]
-                    + [
-                        repr(float(v))
-                        for v in (
-                            rec.objective,
-                            rec.alpha,
-                            rec.beta,
-                            rec.cd_l1,
-                            rec.dcd,
-                            rec.emd,
-                            rec.grad_max,
-                        )
-                    ]
-                )
-            )
+            cells = [str(rec.epoch)] + [repr(float(getattr(rec, c))) for c in TRACE_COLUMNS[1:]]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     @property
@@ -161,10 +150,10 @@ def support_pinning(cloud: PointCloud, pinned) -> np.ndarray:
     return idx
 
 
-def _snapshot(epoch: int, value: float, weights: FcdWeights, grads: tuple[np.ndarray, ...],
-              p: PointCloud, target: PointCloud, seed: int) -> TraceRecord:
-    """Trace record at p; its snapshot metrics share one matching of (p, target)."""
-    m = Matching(p, target)
+def _snapshot(epoch: int, value: float, weights: FcdWeights, grad: np.ndarray,
+              m: Matching, seed: int) -> TraceRecord:
+    """Trace record at m.p; its snapshot metrics reuse the step's matching of (m.p, m.g)."""
+    p, target = m.p, m.g
     return TraceRecord(
         epoch=epoch,
         objective=value,
@@ -173,7 +162,7 @@ def _snapshot(epoch: int, value: float, weights: FcdWeights, grads: tuple[np.nda
         cd_l1=chamfer_l1(p, target, matching=m),
         dcd=dcd(p, target, matching=m),
         emd=_snapshot_emd(p, target, seed),
-        grad_max=max(float(np.linalg.norm(g, axis=1).max()) if g.size else 0.0 for g in grads),
+        grad_max=float(np.linalg.norm(grad, axis=1).max()),
     )
 
 
@@ -198,7 +187,6 @@ class _Loss:
         if objective.kind == "fcd":
             if schedule is None and fixed_weights is None:
                 raise InvalidInputError("fcd objective needs explicit weights or a schedule")
-            self.r = objective.r
             if schedule is not None and schedule.kind == "uncertainty":
                 self.state = UncertaintyState.initial(schedule.tau, schedule.theta)
         elif schedule is not None:
@@ -213,10 +201,9 @@ class _Loss:
             return schedule_weights(self.schedule, clamped, self.state)
         return self.fixed_weights
 
-    def value_grad(self, points: np.ndarray, target: PointCloud, epoch: int):
-        """Returns (objective, point gradient, weights, state gradient or None)."""
-        p = PointCloud(points)
-        m = Matching(p, target)
+    def value_grad(self, m: Matching, epoch: int):
+        """Returns (objective, gradient at m.p, weights, state gradient or None)."""
+        p, target = m.p, m.g
         weights = self.weights_at(epoch)
         if self.objective.kind == "dcd-loss":
             temp = self.objective.dcd_temperature
@@ -232,6 +219,110 @@ class _Loss:
         return value, fcd_gradient(p, target, weights, self.r, matching=m), weights, None
 
 
+class _FreePoints:
+    """Parameter rows that are the fine cloud itself; pinned rows stay frozen."""
+
+    coarse_stages: tuple = ()
+
+    def __init__(self, init: PointCloud, frozen: np.ndarray):
+        self.start = init.points
+        self.frozen = frozen
+
+    def clouds(self, theta: np.ndarray) -> list[np.ndarray]:
+        return [theta]
+
+    def chain(self, grads: list[np.ndarray]) -> np.ndarray:
+        return grads[0]
+
+
+class _Skeleton:
+    """Parameter rows [coarse points; child offsets]: stage clouds coarse, then fine.
+
+    The fine cloud repeats each coarse point once per child and adds the
+    child's offset. The coarse stage is scored against ``coarse_target`` with
+    static weights; frozen offsets form one block of frozen rows.
+    """
+
+    def __init__(self, coarse: np.ndarray, offsets: np.ndarray, coarse_target: PointCloud,
+                 coarse_weights: FcdWeights, freeze_offsets: bool):
+        self.start = np.concatenate([coarse, offsets])
+        self.count = len(coarse)
+        self.children = len(offsets) // len(coarse)
+        self.coarse_stages = ((coarse_target, coarse_weights),)
+        rows = np.arange(len(self.start))
+        self.frozen = rows[self.count:] if freeze_offsets else rows[:0]
+
+    def clouds(self, theta: np.ndarray) -> list[np.ndarray]:
+        coarse = theta[: self.count]
+        return [coarse, np.repeat(coarse, self.children, axis=0) + theta[self.count:]]
+
+    def chain(self, grads: list[np.ndarray]) -> np.ndarray:
+        grad_coarse, grad_fine = grads
+        # children chain back onto their coarse parent
+        children = grad_fine.reshape(self.count, self.children, -1).sum(axis=1)
+        return np.concatenate([grad_coarse + children, grad_fine])
+
+
+def _radius_sq(points: np.ndarray, center: np.ndarray) -> float:
+    diff = points - center
+    return float(np.einsum("ij,ij->i", diff, diff).max())
+
+
+def _descend(param: _FreePoints | _Skeleton, target: PointCloud, loss: _Loss,
+             config: OptimizerConfig) -> tuple[list[PointCloud], OptimizationTrace]:
+    """The descent loop: evaluates config.steps + 1 parameter states, steps between them.
+
+    Each evaluation builds one cloud and one matching per stage. Coarse stages
+    add their static fcd; the last (fine) stage is scored by ``loss`` and
+    feeds the trace snapshot. Returns the stage clouds of the last evaluation.
+    """
+    theta = param.start.copy()
+    velocity = np.zeros_like(theta)
+    records: list[TraceRecord] = []
+    center = target.points.mean(axis=0)
+    reach_sq = None
+    for step in range(config.steps + 1):
+        clouds = [PointCloud(points) for points in param.clouds(theta)]
+        spread_sq = max(_radius_sq(c.points, center) for c in clouds)
+        if reach_sq is None:  # from the radius of init and target about the target centroid
+            reach_sq = DIVERGENCE_FACTOR**2 * max(spread_sq, _radius_sq(target.points, center))
+        elif spread_sq > reach_sq:
+            raise DivergenceError(
+                f"a point lies {math.sqrt(spread_sq):.3e} from the target centroid, beyond "
+                f"{DIVERGENCE_FACTOR:.0e} x the radius of init and target, at step {step}"
+            )
+        value, grads = 0.0, []
+        for cloud, (stage_target, weights) in zip(clouds, param.coarse_stages):
+            m = Matching(cloud, stage_target)
+            value += fcd(cloud, stage_target, weights, loss.r, matching=m)
+            grads.append(fcd_gradient(cloud, stage_target, weights, loss.r, matching=m))
+        fine = Matching(clouds[-1], target)
+        fine_value, fine_grad, weights, state_grad = loss.value_grad(fine, step)
+        value += fine_value
+        grad = param.chain(grads + [fine_grad])
+        if not np.isfinite(value):
+            raise DivergenceError(f"objective became non-finite at step {step}")
+        if step % config.record_every == 0 or step == config.steps:
+            records.append(_snapshot(step, value, weights, grad, fine, config.seed))
+        if step == config.steps:
+            return clouds, OptimizationTrace(records)
+
+        if param.frozen.size:
+            grad[param.frozen] = 0.0
+        if config.update_rule == "momentum":
+            velocity = config.momentum_coeff * velocity + grad
+            theta = theta - config.step_size * velocity
+        else:
+            theta = theta - config.step_size * grad
+        if state_grad is not None:
+            loss.state = UncertaintyState(
+                s_local=loss.state.s_local - config.step_size * state_grad[0],
+                s_global=loss.state.s_global - config.step_size * state_grad[1],
+            )
+        if not np.isfinite(theta).all():
+            raise DivergenceError(f"coordinates became non-finite at step {step}")
+
+
 def optimize(
     init: PointCloud,
     target: PointCloud,
@@ -244,55 +335,16 @@ def optimize(
 
     Nearest-neighbor assignments (and scheduled weights) are recomputed every
     step; pinned points receive zero update. Runs are deterministic for a
-    fixed config. Raises DivergenceError if the objective exceeds 1e6 times
-    its initial value.
+    fixed config. Raises DivergenceError if the objective or the coordinates
+    become non-finite, or if a point moves farther from the target centroid
+    than 1e6 times the radius of init and target about that centroid.
     """
     if init.dim != target.dim:
         raise InvalidInputError(f"dimension mismatch: {init.dim} vs {target.dim}")
     pin_idx = support_pinning(init, pinned) if pinned is not None else np.empty(0, dtype=np.intp)
     loss = _Loss(objective, schedule)
-
-    x = init.points.copy()
-    velocity = np.zeros_like(x)
-    records: list[TraceRecord] = []
-    initial_value: float | None = None
-
-    def record(epoch: int, value: float, weights: FcdWeights, grad: np.ndarray) -> None:
-        snap = PointCloud(x)
-        records.append(_snapshot(epoch, value, weights, (grad,), snap, target, config.seed))
-
-    for step in range(config.steps):
-        value, grad, weights, state_grad = loss.value_grad(x, target, step)
-        if initial_value is None:
-            initial_value = value
-        if not np.isfinite(value):
-            raise DivergenceError(f"objective became non-finite at step {step}")
-        if value > DIVERGENCE_FACTOR * max(initial_value, 1e-12):
-            raise DivergenceError(
-                f"objective {value:.3e} exceeded {DIVERGENCE_FACTOR:.0e} x initial "
-                f"{initial_value:.3e} at step {step}"
-            )
-        if step % config.record_every == 0:
-            record(step, value, weights, grad)
-
-        if pin_idx.size:
-            grad[pin_idx] = 0.0
-        if config.update_rule == "momentum":
-            velocity = config.momentum_coeff * velocity + grad
-            x = x - config.step_size * velocity
-        else:
-            x = x - config.step_size * grad
-        if loss.state is not None and state_grad is not None:
-            loss.state = UncertaintyState(
-                s_local=loss.state.s_local - config.step_size * state_grad[0],
-                s_global=loss.state.s_global - config.step_size * state_grad[1],
-            )
-        if not np.isfinite(x).all():
-            raise DivergenceError(f"coordinates became non-finite at step {step}")
-
-    value, grad, weights, _ = loss.value_grad(x, target, config.steps)
-    record(config.steps, value, weights, grad)
-    return PointCloud(x), OptimizationTrace(records)
+    (final,), trace = _descend(_FreePoints(init, pin_idx), target, loss, config)
+    return final, trace
 
 
 def optimize_hierarchical(
@@ -309,7 +361,8 @@ def optimize_hierarchical(
     The coarse cloud is supervised against a farthest-point subsample of the
     target with static (tau, theta) weights; the fine cloud (coarse points
     plus offsets) is supervised against the full target with the scheduled
-    weights. Coarse coordinates and offsets descend jointly.
+    weights. Coarse coordinates and offsets descend jointly, under the same
+    update rule, uncertainty update and divergence guard as ``optimize``.
     """
     if len(init_coarse) != hierarchy.coarse_count:
         raise InvalidInputError(
@@ -321,69 +374,13 @@ def optimize_hierarchical(
         raise InvalidInputError("coarse_count exceeds target size")
 
     coarse_target = subsample(target, hierarchy.coarse_count, "farthest-point", config.seed)
-    coarse_weights = FcdWeights(schedule.tau, schedule.theta)
-    m = hierarchy.children_per_coarse
-
     rng = np.random.default_rng(config.seed)
-    coarse = init_coarse.points.copy()
     offsets = hierarchy.offset_scale * rng.standard_normal((hierarchy.fine_count, init_coarse.dim))
-
-    state = UncertaintyState.initial(schedule.tau, schedule.theta) if schedule.kind == "uncertainty" else None
-    records: list[TraceRecord] = []
-    initial_value: float | None = None
-
-    def fine_points() -> np.ndarray:
-        return np.repeat(coarse, m, axis=0) + offsets
-
-    def evaluate(epoch: int):
-        nonlocal state
-        clamped = min(epoch, schedule.T)
-        fine_weights = schedule_weights(schedule, clamped, state)
-        coarse_cloud = PointCloud(coarse)
-        fine_cloud = PointCloud(fine_points())
-        coarse_m = Matching(coarse_cloud, coarse_target)
-        fine_m = Matching(fine_cloud, target)
-        value = fcd(coarse_cloud, coarse_target, coarse_weights, r, matching=coarse_m) + fcd(
-            fine_cloud, target, fine_weights, r, matching=fine_m
-        )
-        grad_coarse = fcd_gradient(
-            coarse_cloud, coarse_target, coarse_weights, r, matching=coarse_m
-        )
-        grad_fine = fcd_gradient(fine_cloud, target, fine_weights, r, matching=fine_m)
-        # children chain back onto their coarse parent
-        total_coarse = grad_coarse + grad_fine.reshape(hierarchy.coarse_count, m, -1).sum(axis=1)
-        return value, total_coarse, grad_fine, fine_weights
-
-    for step in range(config.steps):
-        value, grad_coarse, grad_fine, fine_weights = evaluate(step)
-        if initial_value is None:
-            initial_value = value
-        if not np.isfinite(value):
-            raise DivergenceError(f"objective became non-finite at step {step}")
-        if value > DIVERGENCE_FACTOR * max(initial_value, 1e-12):
-            raise DivergenceError(f"objective diverged at step {step}")
-        if step % config.record_every == 0:
-            snap, grads = PointCloud(fine_points()), (grad_coarse, grad_fine)
-            records.append(_snapshot(step, value, fine_weights, grads, snap, target, config.seed))
-        coarse = coarse - config.step_size * grad_coarse
-        if not freeze_offsets:
-            offsets = offsets - config.step_size * grad_fine
-        if state is not None:
-            fine_cloud = PointCloud(fine_points())
-            fine_m = Matching(fine_cloud, target)
-            local = cd_local(fine_cloud, target, r, matching=fine_m)
-            glob = cd_global(fine_cloud, target, r, matching=fine_m)
-            _, state_grad = uncertainty_loss(local, glob, state)
-            state = UncertaintyState(
-                s_local=state.s_local - config.step_size * state_grad[0],
-                s_global=state.s_global - config.step_size * state_grad[1],
-            )
-
-    value, grad_coarse, grad_fine, fine_weights = evaluate(config.steps)
-    fine_cloud, grads = PointCloud(fine_points()), (grad_coarse, grad_fine)
-    final = _snapshot(config.steps, value, fine_weights, grads, fine_cloud, target, config.seed)
-    records.append(final)
-    return fine_cloud, PointCloud(coarse), OptimizationTrace(records)
+    param = _Skeleton(init_coarse.points, offsets, coarse_target,
+                      FcdWeights(schedule.tau, schedule.theta), freeze_offsets)
+    loss = _Loss(ObjectiveSpec("fcd", r=r), schedule)
+    (coarse, fine), trace = _descend(param, target, loss, config)
+    return fine, coarse, trace
 
 
 def clustered_grid_benchmark(

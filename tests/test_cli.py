@@ -255,6 +255,20 @@ class TestOptimizeCommand:
     def test_missing_inputs_exit_3(self, tmp_path, capsys):
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step-size", "nan"],
+            ["--step-size", "inf"],
+            ["--objective", "dcd-loss", "--dcd-temperature", "nan"],
+        ],
+        ids=["step-size-nan", "step-size-inf", "dcd-temperature-nan"],
+    )
+    def test_non_finite_numbers_exit_3(self, tmp_path, capsys, flags):
+        argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "3", *flags]
+        assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 3
+        assert not (tmp_path / "x").exists()
+
     def test_bad_pin_exits_3(self, fixture_files, tmp_path, capsys):
         pred, gt = fixture_files
         code = main(
