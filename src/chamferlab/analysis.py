@@ -4,7 +4,7 @@ ambiguity construction (clustered vs uniform prediction)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -14,18 +14,6 @@ from .metrics import chamfer_l1, dcd
 from .objective import FcdWeights, fcd, fcd_gradient
 
 _CD_WEIGHTS = FcdWeights(1.0, 1.0)
-
-SWEEP_COLUMNS = (
-    "x",
-    "cd_l1",
-    "fcd_l1",
-    "cd_l2",
-    "fcd_l2",
-    "grad_cd_l1_x",
-    "grad_fcd_l1_x",
-    "grad_cd_l2_x",
-    "grad_fcd_l2_x",
-)
 
 
 def _vec2(v, name: str) -> np.ndarray:
@@ -162,6 +150,8 @@ class SweepRow:
     grad_fcd_l2_x: float
 
 
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
 _CROSS_CHECK_TOL = 1e-12
 
 
@@ -177,32 +167,20 @@ def sweep(config: SweepConfig) -> list[SweepRow]:
         p2 = np.array([x, 0.0])
         p = PointCloud(np.stack([config.p1, p2]))
         m = Matching(p, g)
-        values = {}
-        grads = {}
-        for label, weights in (("cd", _CD_WEIGHTS), ("fcd", config.weights)):
-            for r in (1, 2):
+        values, grads = {}, {}
+        for r in (1, 2):
+            for label, weights in (("cd", _CD_WEIGHTS), ("fcd", config.weights)):
                 values[f"{label}_l{r}"] = fcd(p, g, weights, r, matching=m)
                 grads[f"{label}_l{r}"] = fcd_gradient(p, g, weights, r, matching=m)[1]
         closed = closed_form_gradients(p2, config.g1, config.g2, config.p1, config.weights)
-        for key in ("cd_l1", "fcd_l1", "cd_l2", "fcd_l2"):
-            gap = np.abs(grads[key] - getattr(closed, key)).max()
+        for key, grad in grads.items():
+            gap = np.abs(grad - getattr(closed, key)).max()
             if gap > _CROSS_CHECK_TOL:
                 raise ConstructionError(
                     f"gradient cross-check failed at x={x} for {key}: |delta|={gap:.3e}"
                 )
-        rows.append(
-            SweepRow(
-                x=float(x),
-                cd_l1=values["cd_l1"],
-                fcd_l1=values["fcd_l1"],
-                cd_l2=values["cd_l2"],
-                fcd_l2=values["fcd_l2"],
-                grad_cd_l1_x=float(grads["cd_l1"][0]),
-                grad_fcd_l1_x=float(grads["fcd_l1"][0]),
-                grad_cd_l2_x=float(grads["cd_l2"][0]),
-                grad_fcd_l2_x=float(grads["fcd_l2"][0]),
-            )
-        )
+        grad_x = {f"grad_{key}_x": float(grad[0]) for key, grad in grads.items()}
+        rows.append(SweepRow(x=float(x), **values, **grad_x))
     return rows
 
 
@@ -214,13 +192,7 @@ def sweep_to_csv(rows: list[SweepRow], config: SweepConfig) -> str:
         "free point on (x,0), midpoint excluded; these defaults are this toolkit's choice"
     )
     lines = [header, ",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(float(getattr(row, col))) if col != "x" else repr(row.x)
-                for col in SWEEP_COLUMNS
-            )
-        )
+    lines += [",".join(repr(float(v)) for v in astuple(row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

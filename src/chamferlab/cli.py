@@ -7,6 +7,7 @@ import concurrent.futures
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -70,17 +71,18 @@ def _write(path: Path, content: str) -> None:
         fh.write(content)
 
 
-def _schedule_from_args(args: argparse.Namespace) -> ScheduleSpec | None:
-    if args.schedule is None:
-        return None
-    return ScheduleSpec(
-        kind=args.schedule,
-        theta=args.theta,
-        tau=args.tau,
-        t=args.t,
-        T=args.T,
-        sigma=args.sigma,
-    )
+def _emit(command: str, args: argparse.Namespace, content: str, inputs: list[str]) -> None:
+    """Write content to --out plus a sibling manifest, or to stdout without --out."""
+    if args.out:
+        _write(Path(args.out), content)
+        _write(Path(args.out).with_suffix(".manifest.json"), _manifest(command, args, inputs))
+    else:
+        sys.stdout.write(content)
+
+
+def _schedule_from_args(args: argparse.Namespace, kind: str) -> ScheduleSpec:
+    """The schedule the --theta/--tau/--t/--T/--sigma flags describe for this kind."""
+    return ScheduleSpec.from_dict({**vars(args), "kind": kind})
 
 
 def _named(metric: str, thunk):
@@ -126,33 +128,27 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     partial = read_cloud(args.partial_input) if args.partial_input else None
     report = _compute_report(pred, gt, args, mesh=mesh, partial=partial)
     print(report.to_json())
+    csv_text = report.csv_header() + "\n" + report.csv_row() + "\n"
     if args.csv:
-        _write(Path(args.csv), report.csv_header() + "\n" + report.csv_row() + "\n")
+        _write(Path(args.csv), csv_text)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write(out / "report.json", report.to_json() + "\n")
-        _write(out / "report.csv", report.csv_header() + "\n" + report.csv_row() + "\n")
+        _write(out / "report.csv", csv_text)
         inputs = [args.pred, args.gt] + [p for p in (args.mesh, args.partial_input) if p]
         _write(out / "manifest.json", _manifest("metrics", args, inputs))
     return EXIT_OK
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    spec = ScheduleSpec(
-        kind=args.kind, theta=args.theta, tau=args.tau, t=args.t, T=args.T, sigma=args.sigma
-    )
+    spec = _schedule_from_args(args, args.kind)
     state = UncertaintyState.initial(spec.tau, spec.theta) if spec.kind == "uncertainty" else None
     lines = ["epoch,alpha,beta"]
     for epoch in range(spec.T + 1):
         w = schedule_weights(spec, epoch, state)
         lines.append(f"{epoch},{w.alpha!r},{w.beta!r}")
-    content = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), content)
-        _write(Path(args.out).with_suffix(".manifest.json"), _manifest("schedule", args, []))
-    else:
-        sys.stdout.write(content)
+    _emit("schedule", args, "\n".join(lines) + "\n", [])
     return EXIT_OK
 
 
@@ -168,12 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     midpoint = 0.5 * (base.g1[0] + base.g2[0])
     xs = xs[np.abs(xs - midpoint) > 1e-9]
     config = SweepConfig(g1=base.g1, g2=base.g2, p1=base.p1, xs=xs, weights=weights)
-    content = sweep_to_csv(sweep(config), config)
-    if args.out:
-        _write(Path(args.out), content)
-        _write(Path(args.out).with_suffix(".manifest.json"), _manifest("sweep", args, []))
-    else:
-        sys.stdout.write(content)
+    _emit("sweep", args, sweep_to_csv(sweep(config), config), [])
     return EXIT_OK
 
 
@@ -194,7 +185,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     objective = ObjectiveSpec(
         kind=args.objective, weights=weights, r=args.r, dcd_temperature=args.dcd_temperature
     )
-    schedule = _schedule_from_args(args)
+    schedule = None if args.schedule is None else _schedule_from_args(args, args.schedule)
     config = OptimizerConfig(
         steps=args.steps,
         step_size=args.step_size,
@@ -247,15 +238,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallelism) as pool:
             rows = pool.map(lambda pair: _batch_row(pair[0], pair[1], args), pairs)
             lines.extend(rows)  # map preserves input order
-    content = "\n".join(lines) + "\n"
-    if args.out:
-        _write(Path(args.out), content)
-        _write(
-            Path(args.out).with_suffix(".manifest.json"),
-            _manifest("batch", args, [str(p) for pair in pairs for p in pair]),
-        )
-    else:
-        sys.stdout.write(content)
+    _emit("batch", args, "\n".join(lines) + "\n", [str(p) for pair in pairs for p in pair])
     return EXIT_OK
 
 
@@ -268,22 +251,7 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
     write_xyz(out / "clustered.xyz", clustered)
     write_xyz(out / "uniform.xyz", uniform)
     write_xyz(out / "target.xyz", target)
-    _write(
-        out / "report.json",
-        json.dumps(
-            {
-                "cd_clustered": report.cd_clustered,
-                "cd_uniform": report.cd_uniform,
-                "dcd_clustered": report.dcd_clustered,
-                "dcd_uniform": report.dcd_uniform,
-                "temperature": report.temperature,
-                "cluster_offset": report.cluster_offset,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
+    _write(out / "report.json", json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
     _write(out / "manifest.json", _manifest("ambiguity", args, []))
     return EXIT_OK
 
@@ -378,17 +346,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; each --config entry becomes the flag it names, placed right
+    after the subcommand, so it parses like a typed flag and explicit flags win.
+    ``true`` gives the bare flag; ``false`` and ``null`` give nothing."""
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
             raise InvalidInputError("config file must hold a JSON object")
-        sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        subparser = sub_actions[0].choices[args.command]
-        subparser.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
-        args = parser.parse_args(argv)  # explicit flags still win over config defaults
+        flags = [
+            "--" + key.replace("_", "-") + ("" if value is True else f"={value}")
+            for key, value in entries.items()
+            if value is not False and value is not None
+        ]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     return args
 
 
@@ -396,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = _apply_config_defaults(parser, argv)
+        args = _parse_args(parser, argv)
         return args.func(args)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

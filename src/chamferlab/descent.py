@@ -134,8 +134,8 @@ class HierarchySpec:
     def __post_init__(self):
         if self.coarse_count < 1 or self.children_per_coarse < 1:
             raise InvalidInputError("hierarchy sizes must be >= 1")
-        if self.offset_scale < 0:
-            raise InvalidInputError("offset_scale must be >= 0")
+        if not 0 <= self.offset_scale < math.inf:
+            raise InvalidInputError(f"offset_scale must be >= 0 and finite, got {self.offset_scale}")
 
     @property
     def fine_count(self) -> int:

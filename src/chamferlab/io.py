@@ -44,14 +44,15 @@ def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
             fh.write(" ".join(repr(float(c)) for c in row) + "\n")
 
 
-def _parse_ply_header(fh):
-    magic = fh.readline().strip()
+def _parse_ply_header(lines):
+    """Elements (name, count, properties) of the header; ``lines`` yields (number, text)."""
+    magic = next(lines, (0, ""))[1].strip()
     if magic != "ply":
         raise InvalidInputError("not a PLY file (missing 'ply' magic)")
     fmt = None
     elements: list[tuple[str, int, list[str]]] = []
     while True:
-        line = fh.readline()
+        _, line = next(lines, (0, ""))
         if not line:
             raise InvalidInputError("unexpected end of PLY header")
         tokens = line.strip().split()
@@ -74,17 +75,22 @@ def _parse_ply_header(fh):
 
 def _read_ply_elements(path):
     with open(path, "r", encoding="utf-8") as fh:
-        elements = _parse_ply_header(fh)
-        data: dict[str, list[list[str]]] = {}
+        lines = enumerate(fh, start=1)
+        elements = _parse_ply_header(lines)
+        data: dict[str, list[tuple[int, list[str]]]] = {}  # name -> (line number, tokens)
         for name, count, _props in elements:
             rows = []
             for _ in range(count):
-                line = fh.readline()
+                lineno, line = next(lines, (0, ""))
                 if not line:
                     raise InvalidInputError(f"{path}: PLY body ends inside element {name!r}")
-                rows.append(line.split())
+                rows.append((lineno, line.split()))
             data[name] = rows
     return elements, data
+
+
+def _malformed(path, lineno: int, row: list[str], what: str) -> InvalidInputError:
+    return InvalidInputError(f"{path}:{lineno}: malformed {what} row: {' '.join(row)!r}")
 
 
 def _vertex_array(elements, data, path) -> np.ndarray:
@@ -96,8 +102,11 @@ def _vertex_array(elements, data, path) -> np.ndarray:
         except ValueError as exc:
             raise InvalidInputError(f"{path}: vertex element lacks x/y/z properties") from exc
         verts = np.empty((count, 3), dtype=np.float64)
-        for i, row in enumerate(data[name]):
-            verts[i] = (float(row[ix]), float(row[iy]), float(row[iz]))
+        for i, (lineno, row) in enumerate(data[name]):
+            try:
+                verts[i] = (float(row[ix]), float(row[iy]), float(row[iz]))
+            except (IndexError, ValueError) as exc:
+                raise _malformed(path, lineno, row, "vertex") from exc
         return verts
     raise InvalidInputError(f"{path}: PLY file has no vertex element")
 
@@ -119,11 +128,15 @@ def read_ply_mesh(path: str | os.PathLike) -> TriangleMesh:
     for name, _count, _props in elements:
         if name != "face":
             continue
-        for row in data[name]:
-            k = int(row[0])
-            if k != 3:
+        for lineno, row in data[name]:
+            try:
+                k = int(row[0])
+                tri = (int(row[1]), int(row[2]), int(row[3])) if k == 3 else None
+            except (IndexError, ValueError) as exc:
+                raise _malformed(path, lineno, row, "face") from exc
+            if tri is None:
                 raise InvalidInputError(f"{path}: only triangular faces supported, got {k}-gon")
-            tris.append((int(row[1]), int(row[2]), int(row[3])))
+            tris.append(tri)
     if not tris:
         raise InvalidInputError(f"{path}: PLY file has no faces")
     tri_arr = np.asarray(tris, dtype=np.intp)

@@ -4,7 +4,7 @@ F-score, Hausdorff, point-to-mesh, and fidelity."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -220,9 +220,6 @@ def point_to_mesh(p: PointCloud, mesh: TriangleMesh) -> float:
     return float(np.mean(dists))
 
 
-REPORT_COLUMNS = ("cd_l1", "cd_l2", "dcd", "emd", "fscore", "hausdorff", "p2f", "fidelity")
-
-
 @dataclass
 class MetricReport:
     """A flat bundle of metric values; None marks a metric that was not computed."""
@@ -247,18 +244,14 @@ class MetricReport:
                 raise InvalidInputError(f"{f.name} must be non-negative, got {value}")
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in REPORT_COLUMNS}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(REPORT_COLUMNS)
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(f.name for f in fields(cls))
 
     def csv_row(self) -> str:
-        cells = []
-        for name in REPORT_COLUMNS:
-            value = getattr(self, name)
-            cells.append("" if value is None else repr(float(value)))
-        return ",".join(cells)
+        return ",".join("" if v is None else repr(float(v)) for v in self.to_dict().values())

@@ -4,7 +4,7 @@ uncertainty-based weighting, and multi-stage loss composition."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,9 +28,9 @@ class FcdWeights:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise InvalidInputError(
-                f"weights must be positive, got alpha={self.alpha}, beta={self.beta}"
+                f"weights must be positive and finite, got alpha={self.alpha}, beta={self.beta}"
             )
 
 
@@ -58,25 +58,19 @@ class ScheduleSpec:
             raise InvalidInputError(
                 f"need theta > tau > 0, got theta={self.theta}, tau={self.tau}"
             )
+        if not self.theta < math.inf:
+            raise InvalidInputError(f"theta must be finite, got {self.theta}")
         if not 0 < self.t < self.T:
             raise InvalidInputError(f"need 0 < t < T, got t={self.t}, T={self.T}")
-        if self.sigma <= 0:
-            raise InvalidInputError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidInputError(f"sigma must be positive and finite, got {self.sigma}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "theta": self.theta,
-            "tau": self.tau,
-            "t": self.t,
-            "T": self.T,
-            "sigma": self.sigma,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleSpec":
-        known = {k: data[k] for k in ("kind", "theta", "tau", "t", "T", "sigma") if k in data}
-        return cls(**known)
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass

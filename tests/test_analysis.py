@@ -18,7 +18,7 @@ from chamferlab import (
     fcd_gradient,
     sweep,
 )
-from chamferlab.analysis import SWEEP_COLUMNS, sweep_to_csv
+from chamferlab.analysis import sweep_to_csv
 
 G1 = np.array([0.0, 0.0])
 G2 = np.array([4.0, 0.0])
@@ -132,7 +132,9 @@ class TestSweep:
         text = sweep_to_csv(sweep(config), config)
         lines = text.strip().split("\n")
         assert lines[0].startswith("#")
-        assert lines[1] == ",".join(SWEEP_COLUMNS)
+        assert lines[1] == (
+            "x,cd_l1,fcd_l1,cd_l2,fcd_l2,grad_cd_l1_x,grad_fcd_l1_x,grad_cd_l2_x,grad_fcd_l2_x"
+        )
         assert len(lines) == 2 + 28
         assert "\r" not in text
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -256,17 +257,25 @@ class TestOptimizeCommand:
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, name",
         [
-            ["--step-size", "nan"],
-            ["--step-size", "inf"],
-            ["--objective", "dcd-loss", "--dcd-temperature", "nan"],
+            (["--step-size", "nan"], "step_size"),
+            (["--step-size", "inf"], "step_size"),
+            (["--objective", "dcd-loss", "--dcd-temperature", "nan"], "dcd_temperature"),
+            (["--alpha", "inf"], "alpha=inf"),
+            (["--beta", "inf"], "beta=inf"),
+            (["--schedule", "static", "--theta", "inf"], "theta"),
+            (["--schedule", "exponential", "--sigma", "nan"], "sigma"),
         ],
-        ids=["step-size-nan", "step-size-inf", "dcd-temperature-nan"],
+        ids=[
+            "step-size-nan", "step-size-inf", "dcd-temperature-nan",
+            "alpha-inf", "beta-inf", "theta-inf", "sigma-nan",
+        ],
     )
-    def test_non_finite_numbers_exit_3(self, tmp_path, capsys, flags):
+    def test_non_finite_numbers_exit_3(self, tmp_path, capsys, flags, name):
         argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "3", *flags]
         assert main([*argv, "--out-dir", str(tmp_path / "x")]) == 3
+        assert name in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_bad_pin_exits_3(self, fixture_files, tmp_path, capsys):
@@ -354,6 +363,10 @@ class TestAmbiguityCommand:
         argv = ["ambiguity", "--n", "16", "--seed", "3", "--out-dir", str(out)]
         assert main(argv) == 0
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == [
+            "cd_clustered", "cd_uniform", "cluster_offset", "dcd_clustered", "dcd_uniform",
+            "temperature",
+        ]
         assert report["dcd_clustered"] > report["dcd_uniform"]
         first = {p.name: p.read_bytes() for p in out.iterdir()}
         shutil.rmtree(out)
@@ -383,6 +396,70 @@ class TestConfigFile:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["schedule", "--kind", "static", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize(
+        "entries, flags, code",
+        [
+            ({"theta": 3}, ["--theta", "3"], 0),
+            ({"T": 12, "t": 5, "x_min": None}, ["--T", "12", "--t", "5"], 0),
+            ({"T": 10.5, "t": 5}, ["--T", "10.5", "--t", "5"], 2),
+            ({"func": "x"}, ["--func", "x"], 2),
+            ({"theta": True}, ["--theta"], 2),
+        ],
+        ids=["int-for-float", "null-left-out", "float-for-int", "unknown-key", "true-is-bare"],
+    )
+    def test_config_entries_parse_like_flags(self, tmp_path, capsys, entries, flags, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+
+        def run(extra):
+            try:
+                status = main(["schedule", "--kind", "static", *extra])
+            except SystemExit as exc:  # argparse's usage error
+                status = exc.code
+            return status, capsys.readouterr().out
+
+        assert run(["--config", str(cfg)]) == run(flags)
+        assert run(flags)[0] == code
+
+    def test_config_true_gives_the_bare_flag(self, tmp_path, capsys, rng):
+        a, b, cfg = tmp_path / "a.xyz", tmp_path / "b.xyz", tmp_path / "cfg.json"
+        write_xyz(a, random_cloud(rng, 4))
+        write_xyz(b, random_cloud(rng, 6))
+        cfg.write_text(json.dumps({"emd_approx": True, "emd-iterations": 5}))
+        assert main(["metrics", str(a), str(b), "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["metrics", str(a), str(b), "--emd-approx", "--emd-iterations", "5"]) == 0
+        assert from_config == capsys.readouterr().out
+        assert json.loads(from_config)["emd"] is not None
+
+
+@pytest.mark.parametrize("command", ["schedule", "sweep", "batch"])
+def test_out_writes_stdout_bytes_and_a_manifest(tmp_path, capsys, rng, command):
+    pairs = tmp_path / "pairs"
+    pairs.mkdir()
+    for k in range(2):
+        write_xyz(pairs / f"case{k}_pred.xyz", random_cloud(rng, 5))
+        write_xyz(pairs / f"case{k}_gt.xyz", random_cloud(rng, 5))
+    argv = {
+        "schedule": ["schedule", "--kind", "linear", "--T", "8", "--t", "4"],
+        "sweep": ["sweep", "--x-step", "0.2"],
+        "batch": ["batch", "--dir", str(pairs)],
+    }[command]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    manifest = json.loads((tmp_path / "table.manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["flags"]["out"] == str(out)
+    expected = {}
+    if command == "batch":
+        for path in sorted(pairs.iterdir()):
+            expected[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert manifest["inputs"] == expected
 
 
 def test_module_entry_point_runs():

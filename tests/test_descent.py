@@ -350,3 +350,6 @@ class TestHierarchical:
                 ScheduleSpec("static"),
                 OptimizerConfig(steps=1, step_size=0.1),
             )
+        for scale in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(InvalidInputError, match="offset_scale"):
+                HierarchySpec(coarse_count=4, children_per_coarse=2, offset_scale=scale)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chamferlab import InvalidInputError, PointCloud
+from chamferlab.cli import main
 from chamferlab.io import read_cloud, read_ply, read_ply_mesh, read_xyz, write_xyz
 
 from conftest import random_cloud
@@ -112,6 +113,20 @@ def test_read_ply_mesh_rejects_polygons(tmp_path):
     path.write_text(text)
     with pytest.raises(InvalidInputError):
         read_ply_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "row, short, line", [("1 0 0\n", "1 0\n", 11), ("3 0 1 2\n", "3 0 1\n", 14)], ids=["vertex", "face"]
+)
+def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line):
+    path = tmp_path / "short.ply"
+    path.write_text(PLY_MESH.replace(row, short, 1))
+    with pytest.raises(InvalidInputError, match=f"short.ply:{line}: malformed"):
+        read_ply_mesh(path)
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text("0 0 0\n")
+    assert main(["metrics", str(cloud), str(cloud), "--mesh", str(path)]) == 3
+    assert f"short.ply:{line}:" in capsys.readouterr().err
 
 
 def test_read_cloud_dispatches_on_extension(tmp_path):

@@ -76,6 +76,9 @@ class TestFcdValue:
             FcdWeights(0.0, 1.0)
         with pytest.raises(InvalidInputError):
             FcdWeights(1.0, -2.0)
+        for alpha, beta in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(InvalidInputError, match="finite"):
+                FcdWeights(alpha, beta)
 
 
 class TestFcdGradient:
@@ -219,9 +222,14 @@ class TestSchedules:
             ScheduleSpec("linear", t=400, T=400)
         with pytest.raises(InvalidInputError):
             ScheduleSpec("exponential", sigma=0.0)
+        for name, value in [("theta", math.inf), ("tau", math.inf), ("theta", math.nan),
+                            ("sigma", math.inf), ("sigma", math.nan)]:
+            with pytest.raises(InvalidInputError, match=name):
+                ScheduleSpec("exponential", **{name: value})
 
     def test_config_round_trip(self):
         spec = ScheduleSpec("abridged-linear", theta=2.5, tau=0.75, t=150, T=600, sigma=90.0)
+        assert list(spec.to_dict()) == ["kind", "theta", "tau", "t", "T", "sigma"]
         assert ScheduleSpec.from_dict(spec.to_dict()) == spec
 
 
