@@ -52,13 +52,13 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, args: argparse.Namespace, input_paths: list[str]) -> str:
+def _manifest(args: argparse.Namespace, input_paths: list[str]) -> str:
     flags = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None
     }
     payload = {
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "seed": flags.get("seed"),
         "inputs": {p: _sha256(p) for p in sorted(input_paths)},
@@ -71,13 +71,26 @@ def _write(path: Path, content: str) -> None:
         fh.write(content)
 
 
-def _emit(command: str, args: argparse.Namespace, content: str, inputs: list[str]) -> None:
+def _emit(args: argparse.Namespace, content: str, inputs: list[str]) -> None:
     """Write content to --out plus a sibling manifest, or to stdout without --out."""
     if args.out:
         _write(Path(args.out), content)
-        _write(Path(args.out).with_suffix(".manifest.json"), _manifest(command, args, inputs))
+        _write(Path(args.out).with_suffix(".manifest.json"), _manifest(args, inputs))
     else:
         sys.stdout.write(content)
+
+
+def _emit_dir(args: argparse.Namespace, files: dict[str, str | PointCloud],
+              inputs: list[str]) -> None:
+    """Write each named artifact (text, or a cloud as XYZ), then manifest.json, into --out-dir."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        if isinstance(content, PointCloud):
+            write_xyz(out / name, content)
+        else:
+            _write(out / name, content)
+    _write(out / "manifest.json", _manifest(args, inputs))
 
 
 def _schedule_from_args(args: argparse.Namespace, kind: str) -> ScheduleSpec:
@@ -94,16 +107,14 @@ def _named(metric: str, thunk):
 
 
 def _emd_value(pred: PointCloud, gt: PointCloud, args: argparse.Namespace) -> float | None:
+    if len(pred) == len(gt) and len(pred) <= EMD_EXACT_MAX:
+        return emd_exact(pred, gt)
+    if args.emd_approx:
+        return emd_approx(pred, gt, args.emd_iterations, args.emd_epsilon)
     if len(pred) == len(gt):
-        if len(pred) <= EMD_EXACT_MAX:
-            return emd_exact(pred, gt)
-        if args.emd_approx:
-            return emd_approx(pred, gt, args.emd_iterations, args.emd_epsilon)
         raise InvalidInputError(
             f"clouds exceed the exact-solver cap of {EMD_EXACT_MAX} points; pass --emd-approx"
         )
-    if args.emd_approx:
-        return emd_approx(pred, gt, args.emd_iterations, args.emd_epsilon)
     return None  # sizes differ and no approximate solver requested
 
 
@@ -132,12 +143,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.csv:
         _write(Path(args.csv), csv_text)
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write(out / "report.json", report.to_json() + "\n")
-        _write(out / "report.csv", csv_text)
         inputs = [args.pred, args.gt] + [p for p in (args.mesh, args.partial_input) if p]
-        _write(out / "manifest.json", _manifest("metrics", args, inputs))
+        _emit_dir(args, {"report.json": report.to_json() + "\n", "report.csv": csv_text}, inputs)
     return EXIT_OK
 
 
@@ -148,7 +155,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     for epoch in range(spec.T + 1):
         w = schedule_weights(spec, epoch, state)
         lines.append(f"{epoch},{w.alpha!r},{w.beta!r}")
-    _emit("schedule", args, "\n".join(lines) + "\n", [])
+    _emit(args, "\n".join(lines) + "\n", [])
     return EXIT_OK
 
 
@@ -164,7 +171,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     midpoint = 0.5 * (base.g1[0] + base.g2[0])
     xs = xs[np.abs(xs - midpoint) > 1e-9]
     config = SweepConfig(g1=base.g1, g2=base.g2, p1=base.p1, xs=xs, weights=weights)
-    _emit("sweep", args, sweep_to_csv(sweep(config), config), [])
+    _emit(args, sweep_to_csv(sweep(config), config), [])
     return EXIT_OK
 
 
@@ -199,18 +206,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InvalidInputError(f"--pin expects comma-separated integers, got {args.pin!r}") from exc
     final, trace = optimize(init, target, objective, config, schedule=schedule, pinned=pinned)
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_xyz(out / "final.xyz", final)
-    _write(out / "trace.csv", trace.to_csv())
-    _write(out / "manifest.json", _manifest("optimize", args, inputs))
+    _emit_dir(args, {"final.xyz": final, "trace.csv": trace.to_csv()}, inputs)
     return EXIT_OK
-
-
-def _batch_row(pred_path: Path, gt_path: Path, args: argparse.Namespace) -> str:
-    report = _compute_report(read_cloud(pred_path), read_cloud(gt_path), args)
-    return f"{pred_path.name},{report.csv_row()}"
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -233,12 +230,15 @@ def cmd_batch(args: argparse.Namespace) -> int:
             raise FileNotFoundError(f"missing ground truth for {pred_path.name}: {gt_path}")
         pairs.append((pred_path, gt_path))
 
+    def row(pair: tuple[Path, Path]) -> str:
+        report = _compute_report(read_cloud(pair[0]), read_cloud(pair[1]), args)
+        return f"{pair[0].name},{report.csv_row()}"
+
     lines = ["file," + MetricReport.csv_header()]
     if pairs:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            rows = pool.map(lambda pair: _batch_row(pair[0], pair[1], args), pairs)
-            lines.extend(rows)  # map preserves input order
-    _emit("batch", args, "\n".join(lines) + "\n", [str(p) for pair in pairs for p in pair])
+            lines.extend(pool.map(row, pairs))  # map preserves input order
+    _emit(args, "\n".join(lines) + "\n", [str(p) for pair in pairs for p in pair])
     return EXIT_OK
 
 
@@ -246,19 +246,13 @@ def cmd_ambiguity(args: argparse.Namespace) -> int:
     clustered, uniform, target, report = build_ambiguity_pair(
         args.n, args.seed, temperature=args.temperature
     )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_xyz(out / "clustered.xyz", clustered)
-    write_xyz(out / "uniform.xyz", uniform)
-    write_xyz(out / "target.xyz", target)
-    _write(out / "report.json", json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
-    _write(out / "manifest.json", _manifest("ambiguity", args, []))
+    report_json = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    _emit_dir(args, {"clustered.xyz": clustered, "uniform.xyz": uniform, "target.xyz": target,
+                     "report.json": report_json}, [])
     return EXIT_OK
 
 
-def _add_schedule_flags(parser: argparse.ArgumentParser, with_kind_arg: bool) -> None:
-    if with_kind_arg:
-        parser.add_argument("--kind", required=True, choices=SCHEDULE_KINDS)
+def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, default=2.0, help="upper weight bound")
     parser.add_argument("--tau", type=float, default=1.0, help="lower weight bound")
     parser.add_argument("--t", type=int, default=200, help="transition epoch")
@@ -290,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("schedule", help="dump (epoch, alpha, beta) rows for a schedule")
-    _add_schedule_flags(p, with_kind_arg=True)
+    p.add_argument("--kind", required=True, choices=SCHEDULE_KINDS)
+    _add_schedule_flags(p)
     p.add_argument("--out", help="CSV output path (stdout if omitted)")
     p.set_defaults(func=cmd_schedule)
 
@@ -313,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1, choices=(1, 2))
     p.add_argument("--dcd-temperature", type=float, default=1000.0)
     p.add_argument("--schedule", choices=SCHEDULE_KINDS, help="weight schedule for fcd")
-    _add_schedule_flags(p, with_kind_arg=False)
+    _add_schedule_flags(p)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--step-size", type=float, default=0.05)
     p.add_argument("--update-rule", default="plain", choices=("plain", "momentum"))
@@ -347,12 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; each --config entry becomes the flag it names, placed right
-    after the subcommand, so it parses like a typed flag and explicit flags win.
-    ``true`` gives the bare flag; ``false`` and ``null`` give nothing."""
-    args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
+    """Parse argv once. Each --config entry first becomes the flag it names, placed
+    right after the subcommand, so it parses like a typed flag, may supply a required
+    one, and explicit flags win. ``true`` gives the bare flag; ``false`` and ``null``
+    give nothing."""
+    finder = argparse.ArgumentParser(add_help=False)  # takes --config=PATH and prefixes
+    finder.add_argument("--config", nargs="?")  # a bare --config fails in the real parse
+    path = finder.parse_known_args(argv[1:])[0].config  # argv[0] is the subcommand
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
         if not isinstance(entries, dict):
             raise InvalidInputError("config file must hold a JSON object")
@@ -361,9 +359,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
             for key, value in entries.items()
             if value is not False and value is not None
         ]
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + flags + argv[at:])
-    return args
+        argv = argv[:1] + flags + argv[1:]
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

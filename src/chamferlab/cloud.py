@@ -91,20 +91,19 @@ class NNIndex:
             raise InvalidInputError(
                 f"query has dim {q.shape[0]}, index holds dim {self.source.dim} points"
             )
-        if not np.isfinite(q).all():
-            raise InvalidInputError("query contains NaN or infinite coordinates")
         idx, dists = self.query_many(q[None, :])
         return int(idx[0]), float(dists[0])
 
     def query_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query; returns (indices, distances) arrays."""
+        queries = np.asarray(queries, dtype=np.float64)
+        if not np.isfinite(queries).all():
+            raise InvalidInputError("query contains NaN or infinite coordinates")
         return nearest_neighbors(queries, self.source, self)
 
 
 def build_index(cloud: PointCloud) -> NNIndex:
     """Build an exact nearest-neighbor index over a cloud."""
-    if len(cloud) < 1:
-        raise InvalidInputError("cannot index an empty cloud")
     return NNIndex(cloud)
 
 
@@ -114,7 +113,8 @@ def nearest(index: NNIndex, q) -> tuple[int, float]:
 
 
 def _nearest_brute(sources: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # chunked so that 8k x 8k inputs stay within a modest memory budget
+    # serves targets of at most _BRUTE_FORCE_MAX points; chunking the queries
+    # bounds the (queries x targets) distance block for long query sets
     m = queries.shape[0]
     indices = np.empty(m, dtype=np.intp)
     dists = np.empty(m, dtype=np.float64)

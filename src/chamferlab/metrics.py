@@ -22,6 +22,11 @@ def _check_pair(p: PointCloud, g: PointCloud) -> None:
         raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < np.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_r(r: int) -> None:
     if r not in (1, 2):
         raise InvalidInputError(f"distance order r must be 1 or 2, got {r}")
@@ -83,8 +88,7 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     distance kernel.
     """
     m = _matched(p, g, matching)
-    if temperature <= 0:
-        raise InvalidInputError(f"temperature must be positive, got {temperature}")
+    _check_positive("temperature", temperature)
     gi, gd = m.p_to_g
     pi, pd = m.g_to_p
     term_p = np.mean(1.0 - np.exp(-temperature * gd) / m.hits_on_g[gi])
@@ -124,8 +128,7 @@ def emd_approx(
     The value is a mean per unit mass, comparable to ``emd_exact(..., mean=True)``.
     """
     _check_pair(p, g)
-    if epsilon <= 0:
-        raise InvalidInputError(f"epsilon must be positive, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     n, m = len(p), len(g)
@@ -158,8 +161,7 @@ def emd_approx(
 def fscore(p: PointCloud, g: PointCloud, threshold: float = 0.01) -> float:
     """Harmonic mean of precision and recall at a distance threshold."""
     m = Matching(p, g)
-    if threshold <= 0:
-        raise InvalidInputError(f"threshold must be positive, got {threshold}")
+    _check_positive("threshold", threshold)
     precision = float(np.mean(m.p_to_g[1] <= threshold))
     recall = float(np.mean(m.g_to_p[1] <= threshold))
     if precision + recall == 0.0:
@@ -240,7 +242,7 @@ class MetricReport:
                 raise InvalidInputError(f"{name} must lie in [0, 1], got {value}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and value < 0.0:
+            if value is not None and not value >= 0.0:  # NaN fails too
                 raise InvalidInputError(f"{f.name} must be non-negative, got {value}")
 
     def to_dict(self) -> dict:

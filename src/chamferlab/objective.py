@@ -11,7 +11,7 @@ import numpy as np
 from .cloud import Matching, PointCloud
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError
-from .metrics import _check_r, _matched, cd_global, cd_local
+from .metrics import _check_positive, _check_r, _matched, cd_global, cd_local
 
 SCHEDULE_KINDS = ("static", "stair", "linear", "abridged-linear", "exponential", "uncertainty")
 
@@ -148,8 +148,7 @@ def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     only the exponential distance kernels are differentiated.
     """
     m = _matched(p, g, matching)
-    if temperature <= 0:
-        raise InvalidInputError(f"temperature must be positive, got {temperature}")
+    _check_positive("temperature", temperature)
     gi, gd = m.p_to_g
     pi, pd = m.g_to_p
 

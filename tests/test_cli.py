@@ -382,15 +382,15 @@ class TestConfigFile:
     def test_config_provides_defaults_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": "static", "theta": 3.0, "T": 10, "t": 5}))
-        assert main(["schedule", "--kind", "static", "--config", str(cfg)]) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert len(lines) == 1 + 11  # T from config
-        assert lines[1].endswith(",1.0,3.0")  # theta from config
-        assert main(
-            ["schedule", "--kind", "static", "--config", str(cfg), "--theta", "5.0"]
-        ) == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[1].endswith(",1.0,5.0")  # explicit flag beats config
+        # every spelling argparse accepts for the flag
+        for spelling in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+            assert main(["schedule", "--kind", "static", *spelling]) == 0
+            lines = capsys.readouterr().out.strip().split("\n")
+            assert len(lines) == 1 + 11  # T from config
+            assert lines[1].endswith(",1.0,3.0")  # theta from config
+            assert main(["schedule", "--kind", "static", *spelling, "--theta", "5.0"]) == 0
+            lines = capsys.readouterr().out.strip().split("\n")
+            assert lines[1].endswith(",1.0,5.0")  # explicit flag beats config
 
     def test_malformed_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -421,6 +421,42 @@ class TestConfigFile:
 
         assert run(["--config", str(cfg)]) == run(flags)
         assert run(flags)[0] == code
+
+    @pytest.mark.parametrize(
+        "argv, entries, typed",
+        [
+            (
+                ["schedule", "--out", "OUT/k.csv"],
+                {"kind": "static", "T": 4, "t": 2},
+                ["--kind", "static", "--T", "4", "--t", "2"],
+            ),
+            (
+                ["optimize", "--benchmark", "clustered-grid", "--steps", "5",
+                 "--record-every", "1"],
+                {"out_dir": "OUT"},
+                ["--out-dir", "OUT"],
+            ),
+            (["ambiguity", "--n", "16"], {"out_dir": "OUT"}, ["--out-dir", "OUT"]),
+        ],
+        ids=["schedule-kind", "optimize-out-dir", "ambiguity-out-dir"],
+    )
+    def test_config_supplies_required_flags(self, tmp_path, capsys, argv, entries, typed):
+        out = tmp_path / "out"
+
+        def run(extra):
+            out.mkdir()
+            code = main([a.replace("OUT", str(out)) for a in [*argv, *extra]])
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            shutil.rmtree(out)
+            return code, capsys.readouterr().out, files
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v.replace("OUT", str(out)) if isinstance(v, str) else v
+                                   for k, v in entries.items()}))
+        from_config = run(["--config", str(cfg)])
+        assert from_config[0] == 0
+        assert any(name.endswith("manifest.json") for name in from_config[2])
+        assert from_config == run(typed)
 
     def test_config_true_gives_the_bare_flag(self, tmp_path, capsys, rng):
         a, b, cfg = tmp_path / "a.xyz", tmp_path / "b.xyz", tmp_path / "cfg.json"
@@ -460,6 +496,56 @@ def test_out_writes_stdout_bytes_and_a_manifest(tmp_path, capsys, rng, command):
         for path in sorted(pairs.iterdir()):
             expected[str(path)] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert manifest["inputs"] == expected
+
+
+@pytest.mark.parametrize("command", ["metrics", "optimize", "ambiguity"])
+def test_out_dir_manifest_names_the_command_and_its_inputs(
+    fixture_files, tmp_path, capsys, command
+):
+    pred, gt = fixture_files
+    out = tmp_path / "out"
+    argv = {
+        "metrics": ["metrics", str(pred), str(gt)],
+        "optimize": ["optimize", "--init", str(pred), "--target", str(gt), "--steps", "3"],
+        "ambiguity": ["ambiguity", "--n", "16"],
+    }[command]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["flags"]["out_dir"] == str(out)
+    inputs = [] if command == "ambiguity" else [pred, gt]
+    assert manifest["inputs"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in inputs
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["metrics", "A", "B", "--emd-approx", "--emd-epsilon", "nan"], ["emd", "epsilon"]),
+        (["metrics", "A", "B", "--emd-approx", "--emd-epsilon", "inf"], ["emd", "epsilon"]),
+        (["metrics", "A", "B", "--fscore-threshold", "nan"], ["fscore", "threshold"]),
+        (["metrics", "A", "B", "--dcd-temperature", "inf"], ["dcd", "temperature"]),
+        (["metrics", "A", "B", "--dcd-temperature", "nan"], ["dcd", "temperature"]),
+        (["ambiguity", "--n", "16", "--temperature", "nan"], ["temperature"]),
+    ],
+    ids=[
+        "emd-epsilon-nan", "emd-epsilon-inf", "fscore-threshold-nan",
+        "dcd-temperature-inf", "dcd-temperature-nan", "ambiguity-temperature-nan",
+    ],
+)
+def test_report_parameters_must_be_positive_and_finite(tmp_path, capsys, rng, argv, names):
+    a, b, out = tmp_path / "a.xyz", tmp_path / "b.xyz", tmp_path / "out"
+    write_xyz(a, random_cloud(rng, 4))
+    write_xyz(b, random_cloud(rng, 6))
+    argv = [{"A": str(a), "B": str(b)}.get(arg, arg) for arg in argv]
+    assert main([*argv, "--out-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    for name in names:
+        assert name in captured.err
+    assert not out.exists()
 
 
 def test_module_entry_point_runs():

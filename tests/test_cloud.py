@@ -80,6 +80,15 @@ class TestNearest:
         with pytest.raises(InvalidInputError):
             nearest(idx, [0.0, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("n", [10, 100], ids=["scan", "kd-tree"])
+    def test_non_finite_query_is_rejected(self, rng, n, value):
+        idx = build_index(random_cloud(rng, n))
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            idx.query_many([[value, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            idx.query([0.0, value, 0.0])
+
     def test_matches_brute_force_on_random_clouds(self, rng):
         # the exact-NN contract: index and distance equal the scan, bit for bit
         for _ in range(20):

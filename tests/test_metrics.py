@@ -23,6 +23,7 @@ from chamferlab import (
     point_to_mesh,
 )
 from chamferlab.cloud import Matching
+from chamferlab.objective import dcd_gradient
 
 from conftest import random_cloud
 
@@ -110,8 +111,11 @@ class TestDcd:
             assert 0.0 <= value <= 1.0
 
     def test_rejects_bad_temperature(self, rng):
-        with pytest.raises(InvalidInputError):
-            dcd(random_cloud(rng, 3), random_cloud(rng, 3), 0.0)
+        p, g = random_cloud(rng, 3), random_cloud(rng, 3)
+        for fn in (dcd, dcd_gradient):
+            for temperature in (0.0, -1.0, float("nan"), float("inf")):
+                with pytest.raises(InvalidInputError, match="temperature"):
+                    fn(p, g, temperature)
 
     def test_clustering_raises_dcd(self):
         # two predictions of the same 1D-grid target; pairs collapsed onto
@@ -176,8 +180,10 @@ class TestEmdApprox:
         assert np.isfinite(value) and value > 0
 
     def test_rejects_bad_epsilon(self, rng):
-        with pytest.raises(InvalidInputError):
-            emd_approx(random_cloud(rng, 3), random_cloud(rng, 3), epsilon=0.0)
+        p, g = random_cloud(rng, 3), random_cloud(rng, 3)
+        for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                emd_approx(p, g, epsilon=epsilon)
 
 
 class TestFscore:
@@ -200,8 +206,10 @@ class TestFscore:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_rejects_bad_threshold(self, rng):
-        with pytest.raises(InvalidInputError):
-            fscore(random_cloud(rng, 3), random_cloud(rng, 3), 0.0)
+        p, g = random_cloud(rng, 3), random_cloud(rng, 3)
+        for threshold in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match="threshold"):
+                fscore(p, g, threshold)
 
 
 class TestHausdorff:
@@ -311,3 +319,6 @@ class TestMetricReport:
             MetricReport(dcd=1.5)
         with pytest.raises(InvalidInputError):
             MetricReport(cd_l1=-0.1)
+        for name in ("cd_l1", "dcd", "emd", "fscore"):
+            with pytest.raises(InvalidInputError, match=name):
+                MetricReport(**{name: float("nan")})

@@ -1,0 +1,174 @@
+"""Compare the CLI artifacts of two chamferlab source trees, run by run.
+
+Usage:
+    python3 tools/compare_artifacts.py OLD_SRC NEW_SRC [--only NAME ...]
+
+OLD_SRC and NEW_SRC are directories that hold the ``chamferlab`` package
+(the ``src/`` directory of two checkouts). Each run of the set below is
+executed once per tree, as ``python -m chamferlab.cli ARGV`` in a fresh
+interpreter and a fresh temporary directory that holds the same input files.
+Paths in argv are relative, so manifests can match byte for byte. The script
+prints every difference in stdout, stderr, exit status or any file the run
+leaves behind, and exits 1 if there is one, 0 otherwise. Standard library
+only: it must not depend on the code it compares.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SCHEDULE_KINDS = ("static", "stair", "linear", "abridged-linear", "exponential", "uncertainty")
+BENCH = ["optimize", "--benchmark", "clustered-grid"]
+
+# perfbench's descent-grid64 ops at workload seed 7: (setting, run seed, flags)
+DESCENT_GRID64_SEED7 = (
+    ("fcd-beta2", 2029167940, []),
+    ("chamfer", 1342382291, ["--alpha", "1", "--beta", "1"]),
+    ("uncertainty", 1469265225, ["--schedule", "uncertainty"]),
+    ("dcd-loss", 1926751965, ["--objective", "dcd-loss"]),
+)
+
+
+def _runs() -> dict[str, list[str]]:
+    runs = {
+        "metrics-full": [
+            "metrics", "pred.xyz", "gt.xyz", "--mesh", "mesh.ply", "--partial-input",
+            "partial.xyz", "--csv", "report.csv", "--out-dir", "report",
+        ],
+        "metrics-emd-approx-unequal": ["metrics", "a.xyz", "b.xyz", "--emd-approx"],
+        "metrics-missing-file": ["metrics", "missing.xyz", "gt.xyz"],
+    }
+    for kind in SCHEDULE_KINDS:
+        runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
+        runs[f"schedule-{kind}-out"] = ["schedule", "--kind", kind, "--out", "schedule.csv"]
+    runs["schedule-invalid-bounds"] = ["schedule", "--kind", "linear", "--theta", "1", "--tau", "1"]
+    runs["schedule-config"] = ["schedule", "--kind", "linear", "--config", "schedule.json"]
+    runs["sweep"] = ["sweep"]
+    runs["sweep-out"] = ["sweep", "--out", "sweep.csv"]
+    runs["batch"] = ["batch", "--dir", "pairs"]
+    runs["batch-out-parallel"] = [
+        "batch", "--dir", "pairs", "--out", "table.csv", "--parallelism", "2",
+    ]
+    runs["ambiguity"] = ["ambiguity", "--out-dir", "ambiguity"]
+    optimize = {
+        "default": [],
+        "cd": ["--alpha", "1", "--beta", "1"],
+        "uncertainty": ["--schedule", "uncertainty"],
+        "dcd-loss": ["--objective", "dcd-loss"],
+        "cd-l2-momentum": [
+            "--objective", "cd-l2", "--update-rule", "momentum", "--momentum", "0.9",
+        ],
+        "pinned-linear": ["--pin", "0,5,9,33", "--schedule", "linear"],
+        "record-every-1": ["--record-every", "1"],
+        "r2-stair": ["--r", "2", "--schedule", "stair"],
+    }
+    for name, flags in optimize.items():
+        runs[f"optimize-{name}"] = [*BENCH, *flags, "--out-dir", "run"]
+    for name, seed, flags in DESCENT_GRID64_SEED7:
+        runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
+    return runs
+
+
+def _cloud(rng: random.Random, n: int) -> str:
+    return "".join(" ".join(repr(rng.random()) for _ in range(3)) + "\n" for _ in range(n))
+
+
+def _write_inputs(root: Path) -> None:
+    """The same input files, byte for byte, in every run directory."""
+    rng = random.Random(20240901)
+    gt = _cloud(rng, 40)
+    files = {
+        "pred.xyz": _cloud(rng, 40),
+        "gt.xyz": gt,
+        "partial.xyz": "".join(gt.splitlines(keepends=True)[:10]),
+        "a.xyz": _cloud(rng, 30),
+        "b.xyz": _cloud(rng, 45),
+        "mesh.ply": (
+            "ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\nproperty float y\n"
+            "property float z\nelement face 2\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1 0 0\n1 1 0\n0 1 1\n3 0 1 2\n3 0 2 3\n"
+        ),
+        "schedule.json": json.dumps({"theta": 3.0, "T": 10, "t": 5}),
+    }
+    for k in range(3):
+        files[f"pairs/case{k}_pred.xyz"] = _cloud(rng, 12)
+        files[f"pairs/case{k}_gt.xyz"] = _cloud(rng, 12)
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+
+
+def _run(src: Path, argv: list[str]) -> dict[str, bytes]:
+    """Run one CLI invocation; return its streams, exit status and every file it leaves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_inputs(root)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "chamferlab.cli", *argv], cwd=root, env=env, capture_output=True
+        )
+        result = {
+            "exit status": str(proc.returncode).encode(),
+            "stdout": proc.stdout,
+            "stderr": proc.stderr,
+        }
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                result[f"file {path.relative_to(root).as_posix()}"] = path.read_bytes()
+        return result
+
+
+def _describe(old: bytes | None, new: bytes | None) -> list[str]:
+    limit = 12  # diff lines shown per difference
+    if old is None or new is None:
+        return ["      only in " + ("new" if old is None else "old")]
+    try:
+        a, b = old.decode().splitlines(), new.decode().splitlines()
+    except UnicodeDecodeError:
+        return [f"      binary contents differ ({len(old)} vs {len(new)} bytes)"]
+    lines = list(difflib.unified_diff(a, b, "old", "new", lineterm="", n=1))
+    shown = ["      " + line for line in lines[:limit]]
+    if len(lines) > limit:
+        shown.append(f"      ... {len(lines) - limit} more diff lines")
+    return shown
+
+
+def compare(old_src: Path, new_src: Path, names: list[str]) -> int:
+    runs = _runs()
+    differences = 0
+    for name in names:
+        old, new = _run(old_src, runs[name]), _run(new_src, runs[name])
+        for item in sorted(set(old) | set(new)):
+            if old.get(item) != new.get(item):
+                differences += 1
+                print(f"DIFF {name}: {item}")
+                print("\n".join(_describe(old.get(item), new.get(item))))
+    plural = "" if differences == 1 else "s"
+    print(f"{len(names)} run(s) compared, {differences} difference{plural}")
+    return 1 if differences else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--only", action="append", choices=sorted(_runs()), metavar="NAME",
+                        help="compare only this run (repeatable); default: every run")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "chamferlab" / "cli.py").is_file():
+            parser.error(f"{src} does not hold the chamferlab package")
+    return compare(args.old_src.resolve(), args.new_src.resolve(), args.only or list(_runs()))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
