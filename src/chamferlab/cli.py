@@ -337,19 +337,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ambiguity)
 
     for sp in sub.choices.values():
-        sp.add_argument("--config", help="JSON file of default flag values (flags win)")
+        sp.add_argument("--config", action=_ConfigAction,
+                        help="JSON file of default flag values (flags win)")
     return parser
 
 
+class _ConfigFound(Exception):
+    """Stops the first parse at --config, before argparse checks required flags.
+    Its args are the action and the path."""
+
+
+class _ConfigAction(argparse.Action):
+    """--config PATH. The subcommand's own parser resolves the flag, so a prefix
+    means --config only where it means that to argparse (``--c`` is ambiguous in
+    ``metrics``, which also has ``--csv``). Until the file's flags are in argv the
+    action stops the parse; then it stores the path."""
+
+    expanded = False
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values and not self.expanded:  # an empty path names no file
+            raise _ConfigFound(self, values)
+        setattr(namespace, self.dest, values)
+
+
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv once. Each --config entry first becomes the flag it names, placed
-    right after the subcommand, so it parses like a typed flag, may supply a required
-    one, and explicit flags win. ``true`` gives the bare flag; ``false`` and ``null``
-    give nothing."""
-    finder = argparse.ArgumentParser(add_help=False)  # takes --config=PATH and prefixes
-    finder.add_argument("--config", nargs="?")  # a bare --config fails in the real parse
-    path = finder.parse_known_args(argv[1:])[0].config  # argv[0] is the subcommand
-    if path:
+    """Parse argv. Each --config entry becomes the flag it names, placed right after
+    the subcommand, and argv is parsed again, so an entry parses like a typed flag,
+    may supply a required one, and explicit flags win. ``true`` gives the bare flag;
+    ``false`` and ``null`` give nothing."""
+    try:
+        return parser.parse_args(argv)
+    except _ConfigFound as found:
+        action, path = found.args
         with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
         if not isinstance(entries, dict):
@@ -359,8 +379,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
             for key, value in entries.items()
             if value is not False and value is not None
         ]
-        argv = argv[:1] + flags + argv[1:]
-    return parser.parse_args(argv)
+        action.expanded = True
+        return parser.parse_args(argv[:1] + flags + argv[1:])  # argv[0] is the subcommand
 
 
 def main(argv: list[str] | None = None) -> int:

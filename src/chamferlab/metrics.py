@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from .cloud import Matching, PointCloud, TriangleMesh
+from .cloud import Matching, PointCloud, TriangleMesh, _row_sq_dists
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError
 
@@ -110,7 +110,7 @@ def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:
         raise InvalidInputError(
             f"exact EMD capped at {EMD_EXACT_MAX} points ({len(p)} given); use emd_approx"
         )
-    cost = np.linalg.norm(p.points[:, None, :] - g.points[None, :, :], axis=2)
+    cost = np.sqrt(_row_sq_dists(p.points[:, None], g.points[None]))
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
     return total / len(p) if mean else total
@@ -132,7 +132,7 @@ def emd_approx(
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     n, m = len(p), len(g)
-    cost = np.linalg.norm(p.points[:, None, :] - g.points[None, :, :], axis=2)
+    cost = np.sqrt(_row_sq_dists(p.points[:, None], g.points[None]))
     a = np.full(n, 1.0 / n)
     b = np.full(m, 1.0 / m)
     log_a = np.log(a)

@@ -113,10 +113,8 @@ def _direction(diff: np.ndarray, dist: np.ndarray, r: int) -> np.ndarray:
     """
     if r == 2:
         return 2.0 * diff
-    out = np.zeros_like(diff)
-    mask = dist > 0.0
-    out[mask] = diff[mask] / dist[mask, None]
-    return out
+    norm = dist[:, None]
+    return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0.0)
 
 
 def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, *,

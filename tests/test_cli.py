@@ -392,6 +392,29 @@ class TestConfigFile:
             lines = capsys.readouterr().out.strip().split("\n")
             assert lines[1].endswith(",1.0,5.0")  # explicit flag beats config
 
+    def test_config_prefixes_follow_the_subcommands_flags(self, tmp_path, capsys, rng):
+        a, b, cfg = tmp_path / "a.xyz", tmp_path / "b.xyz", tmp_path / "cfg.json"
+        write_xyz(a, random_cloud(rng, 4))
+        write_xyz(b, random_cloud(rng, 6))
+        cfg.write_text(json.dumps({"emd_approx": True, "emd_iterations": 5}))
+        table = tmp_path / "table.csv"
+        table.write_text("not,json\n")
+        # metrics also has --csv, so --c is ambiguous there: argparse's usage
+        # error, whether or not the file exists, and no file is read
+        for path in (tmp_path / "missing.csv", table):
+            for spelling in (["--c", str(path)], [f"--c={path}"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(["metrics", str(a), str(b), *spelling])
+                assert exc.value.code == 2
+                assert "could match --csv, --config" in capsys.readouterr().err
+        # a prefix that only --config has still finds the file
+        assert main(["metrics", str(a), str(b), "--conf", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["emd"] is not None
+        # schedule has no other --c flag, so --c is --config there
+        cfg.write_text(json.dumps({"T": 10, "t": 5}))
+        assert main(["schedule", "--kind", "static", "--c", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 11
+
     def test_malformed_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")

@@ -13,7 +13,7 @@ from chamferlab import (
     nearest_hit_counts,
     subsample,
 )
-from chamferlab.cloud import _nearest_tree, nearest_neighbors
+from chamferlab.cloud import _nearest_tree, _row_sq_dists, nearest_neighbors
 
 from conftest import brute_force_nearest, random_cloud
 
@@ -118,26 +118,26 @@ class TestNearest:
 
     def test_helper_brute_and_tree_paths_agree(self, rng):
         # a 1/32 lattice is exact in binary, so cell centres, face centres and
-        # edge midpoints tie exactly between 8, 4 and 2 lattice points
-        lattice = np.indices((7, 7, 7)).reshape(3, -1).T / 32.0
-        small = random_cloud(rng, 30).points  # scan path
-        targets = (
-            small,
-            random_cloud(rng, 300).points,  # tree path from here on
-            lattice[:65],
-            lattice[:300],
-            np.concatenate([lattice[:40], lattice[:25]]),  # duplicated source points
-            np.concatenate([lattice[:150], lattice[:150]]),
-        )
-        half = 0.5 / 32.0
-        lattice_queries = np.concatenate(
-            [lattice + half, lattice + [half, half, 0.0], lattice + [half, 0.0, 0.0]]
-        )
-        for pts in targets:
-            queries = np.concatenate([rng.random((25, 3)), lattice_queries, pts])  # on sources too
-            idx, dist = nearest_neighbors(queries, PointCloud(pts))
-            for k, q in enumerate(queries):
-                assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
+        # edge midpoints tie exactly between 8 (4 in 2D), 4 and 2 lattice points
+        for dim, side in ((3, 7), (2, 18)):
+            lattice = np.indices((side,) * dim).reshape(dim, -1).T / 32.0
+            targets = (
+                random_cloud(rng, 30, dim).points,  # scan path
+                random_cloud(rng, 300, dim).points,  # tree path from here on
+                lattice[:65],
+                lattice[:300],
+                np.concatenate([lattice[:40], lattice[:25]]),  # duplicated source points
+                np.concatenate([lattice[:150], lattice[:150]]),
+            )
+            half = 0.5 / 32.0
+            lattice_queries = np.concatenate(
+                [lattice + half * (np.arange(dim) < k) for k in range(dim, 0, -1)]
+            )
+            for pts in targets:
+                queries = np.concatenate([rng.random((25, dim)), lattice_queries, pts])
+                idx, dist = nearest_neighbors(queries, PointCloud(pts))
+                for k, q in enumerate(queries):
+                    assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
 
     def test_tree_kernel_takes_one_and_two_point_targets(self, rng):
         # the scan serves such targets, but the kernel must not ask for a
@@ -148,6 +148,31 @@ class TestNearest:
             idx, dist = _nearest_tree(cKDTree(pts), pts, queries)
             for k, q in enumerate(queries):
                 assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_row_sq_dists_is_the_sum_reduction_bit_for_bit(self, rng, dim, scale):
+        # the per-coordinate kernel must keep the reduction's (x*x + y*y) + z*z
+        queries = scale * (rng.standard_normal((70, dim)) + 0.3)
+        points = scale * rng.standard_normal((50, dim))
+
+        def reduction(a, b):
+            diff = a - b
+            return (diff * diff).sum(axis=-1)
+
+        def bits(a):
+            return a.view(np.uint64)
+
+        block = _row_sq_dists(queries[:, None, :], points[None, :, :])  # the scan's shape
+        assert block.shape == (70, 50)
+        assert (bits(block) == bits(reduction(queries[:, None, :], points[None, :, :]))).all()
+        # the reversed direction's block is the transpose, bit for bit
+        assert (bits(_row_sq_dists(points[:, None, :], queries[None, :, :]).T) == bits(block)).all()
+        rows = rng.integers(0, 50, size=70)  # the kd-tree's row-wise recheck
+        assert (bits(_row_sq_dists(queries, points[rows]))
+                == bits(reduction(queries, points[rows]))).all()
+        assert (bits(_row_sq_dists(points, points[3])) == bits(reduction(points, points[3]))).all()
 
 
 class TestHitCounts:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.special import logsumexp
 
 from chamferlab import (
     InvalidInputError,
@@ -45,6 +47,28 @@ def permutation_emd(p: PointCloud, g: PointCloud) -> float:
         total = sum(np.linalg.norm(p.points[i] - g.points[j]) for i, j in enumerate(perm))
         best = min(best, total)
     return best / len(p)
+
+
+def norm_cost(p: PointCloud, g: PointCloud) -> np.ndarray:
+    return np.linalg.norm(p.points[:, None, :] - g.points[None, :, :], axis=2)
+
+
+def norm_cost_sinkhorn(p: PointCloud, g: PointCloud, iterations: int, epsilon: float) -> float:
+    """Reference: emd_approx's log-domain Sinkhorn and rounding over the norm cost."""
+    cost = norm_cost(p, g)
+    a, b = np.full(len(p), 1.0 / len(p)), np.full(len(g), 1.0 / len(g))
+    f, h = np.zeros(len(p)), np.zeros(len(g))
+    for _ in range(iterations):
+        h = -epsilon * logsumexp((f[:, None] - cost) / epsilon + np.log(a)[:, None], axis=0)
+        f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + np.log(b)[None, :], axis=1)
+    plan = np.exp((f[:, None] + h[None, :] - cost) / epsilon
+                  + np.log(a)[:, None] + np.log(b)[None, :])
+    plan *= np.minimum(a / np.maximum(plan.sum(axis=1), 1e-300), 1.0)[:, None]
+    plan *= np.minimum(b / np.maximum(plan.sum(axis=0), 1e-300), 1.0)[None, :]
+    err_a, err_b = a - plan.sum(axis=1), b - plan.sum(axis=0)
+    if err_a.sum() > 0:
+        plan = plan + np.outer(err_a, err_b) / err_a.sum()
+    return float((plan * cost).sum())
 
 
 class TestChamferFamily:
@@ -144,6 +168,15 @@ class TestEmd:
             p, g = random_cloud(rng, 6), random_cloud(rng, 6)
             assert emd_exact(p, g) == pytest.approx(permutation_emd(p, g), abs=1e-12)
 
+    def test_bit_identical_to_an_assignment_over_the_norm_cost(self, rng):
+        for dim, n in ((2, 5), (3, 17), (2, 40), (3, 80)):
+            p = random_cloud(rng, n, dim, scale=10.0)
+            g = random_cloud(rng, n, dim, scale=10.0)
+            cost = norm_cost(p, g)
+            rows, cols = linear_sum_assignment(cost)
+            assert emd_exact(p, g) == float(cost[rows, cols].sum()) / n
+            assert emd_exact(p, g, mean=False) == float(cost[rows, cols].sum())
+
     def test_rejects_unequal_sizes(self, rng):
         with pytest.raises(InvalidInputError):
             emd_exact(random_cloud(rng, 3), random_cloud(rng, 4))
@@ -178,6 +211,11 @@ class TestEmdApprox:
         g = PointCloud(rng.random((512, 3)))
         value = emd_approx(p, g, iterations=100, epsilon=0.01)
         assert np.isfinite(value) and value > 0
+
+    def test_bit_identical_to_sinkhorn_over_the_norm_cost(self, rng):
+        for dim, n, m in ((2, 6, 6), (3, 12, 12), (3, 20, 9)):
+            p, g = random_cloud(rng, n, dim), random_cloud(rng, m, dim)
+            assert emd_approx(p, g, 40, 0.01) == norm_cost_sinkhorn(p, g, 40, 0.01)
 
     def test_rejects_bad_epsilon(self, rng):
         p, g = random_cloud(rng, 3), random_cloud(rng, 3)

@@ -20,7 +20,7 @@ from chamferlab import (
     schedule_weights,
     uncertainty_loss,
 )
-from chamferlab.objective import dcd_gradient
+from chamferlab.objective import _direction, dcd_gradient
 from chamferlab import dcd as dcd_metric
 
 from conftest import random_cloud
@@ -130,6 +130,26 @@ class TestFcdGradient:
         # first prediction coincides with its match and with g1's best match:
         # both of its unit-vector terms are defined as zero
         assert (grad[0] == 0.0).all()
+
+    def test_direction_is_a_unit_vector_or_zero_under_r1(self, rng):
+        diff = rng.standard_normal((9, 3))
+        diff[[0, 4, 8]] = 0.0  # pairs that coincide
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        out = _direction(diff, dist, 1)
+        assert (out[[0, 4, 8]] == 0.0).all()
+        moved = dist > 0.0
+        assert (out[moved] == diff[moved] / dist[moved, None]).all()
+        assert (_direction(diff, dist, 2) == 2.0 * diff).all()
+
+    def test_coincident_points_under_both_orders(self):
+        # p0 and p1 sit on g0 and g1 and match them both ways, so all their
+        # terms have zero distance; p2 is pulled toward g2 by both terms
+        p = PointCloud([[0.0, 0.0], [2.0, 1.0], [3.0, 4.0]])
+        g = PointCloud([[0.0, 0.0], [2.0, 1.0], [3.0, 5.0]])
+        for grad in (*(fcd_gradient(p, g, FcdWeights(1.0, 2.0), r) for r in (1, 2)),
+                     dcd_gradient(p, g, 2.0)):
+            assert (grad[:2] == 0.0).all()
+            assert grad[2, 0] == 0.0 and grad[2, 1] < 0.0
 
     def test_gradient_shape_and_finiteness(self, rng):
         p, g = random_cloud(rng, 33, dim=2), random_cloud(rng, 21, dim=2)

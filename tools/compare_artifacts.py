@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import itertools
 import json
 import os
 import random
@@ -45,6 +46,17 @@ def _runs() -> dict[str, list[str]]:
         ],
         "metrics-emd-approx-unequal": ["metrics", "a.xyz", "b.xyz", "--emd-approx"],
         "metrics-missing-file": ["metrics", "missing.xyz", "gt.xyz"],
+        # more than 64 points per side reach the kd-tree path and exact EMD; the
+        # lattices tie exactly between up to 8 (3D) and 4 (2D) candidates
+        "metrics-lattice-3d": [
+            "metrics", "lattice3_p.xyz", "lattice3_g.xyz", "--out-dir", "report",
+        ],
+        "metrics-lattice-2d-emd-approx": [
+            "metrics", "lattice2_p.xyz", "lattice2_g.xyz", "--emd-approx",
+        ],
+        "metrics-tree-random": ["metrics", "c.xyz", "d.xyz", "--csv", "report.csv"],
+        # argparse rejects --c as ambiguous here: metrics has --csv and --config
+        "metrics-c-prefix": ["metrics", "pred.xyz", "gt.xyz", "--c", "x.csv"],
     }
     for kind in SCHEDULE_KINDS:
         runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
@@ -81,6 +93,14 @@ def _cloud(rng: random.Random, n: int) -> str:
     return "".join(" ".join(repr(rng.random()) for _ in range(3)) + "\n" for _ in range(n))
 
 
+def _lattice(side: int, dim: int, shift: int) -> str:
+    """Points k/32 of a side**dim grid, moved by shift/64 on every axis: exact in binary."""
+    return "".join(
+        " ".join(repr((2 * k + shift) / 64) for k in point) + "\n"
+        for point in itertools.product(range(side), repeat=dim)
+    )
+
+
 def _write_inputs(root: Path) -> None:
     """The same input files, byte for byte, in every run directory."""
     rng = random.Random(20240901)
@@ -97,10 +117,16 @@ def _write_inputs(root: Path) -> None:
             "end_header\n0 0 0\n1 0 0\n1 1 0\n0 1 1\n3 0 1 2\n3 0 2 3\n"
         ),
         "schedule.json": json.dumps({"theta": 3.0, "T": 10, "t": 5}),
+        "lattice3_p.xyz": _lattice(5, 3, 0),
+        "lattice3_g.xyz": _lattice(5, 3, 1),
+        "lattice2_p.xyz": _lattice(10, 2, 0),
+        "lattice2_g.xyz": _lattice(10, 2, 1),
     }
     for k in range(3):
         files[f"pairs/case{k}_pred.xyz"] = _cloud(rng, 12)
         files[f"pairs/case{k}_gt.xyz"] = _cloud(rng, 12)
+    files["c.xyz"] = _cloud(rng, 80)
+    files["d.xyz"] = _cloud(rng, 80)
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
