@@ -161,7 +161,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     weights = FcdWeights(args.alpha, args.beta)
-    if args.x_min >= args.x_max or args.x_step <= 0:
+    bounds = (args.x_min, args.x_max, args.x_step)
+    if not np.isfinite(bounds).all() or args.x_min >= args.x_max or args.x_step <= 0:
         raise InvalidInputError(
             f"invalid sweep range: x_min={args.x_min}, x_max={args.x_max}, x_step={args.x_step}"
         )

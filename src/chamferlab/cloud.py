@@ -15,6 +15,8 @@ from .errors import InvalidInputError
 # and 3D (2 vCPUs, numpy 2.4, scipy 1.17). The value stays at 64 because no
 # benchmarked workload has targets between 65 and 191 points. Both paths use
 # _row_sq_dists and the lowest-index tie rule, so results are bit-identical.
+# When both clouds of a Matching are this small, one distance block serves
+# both directions, since (g - p)**2 == (p - g)**2 exactly.
 _BRUTE_FORCE_MAX = 64
 # kd-tree candidates closer than this relative gap are settled exactly
 _TIE_RTOL = 1e-9
@@ -121,6 +123,12 @@ def nearest(index: NNIndex, q) -> tuple[int, float]:
     return index.query(q)
 
 
+def _nearest_in_block(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise nearest neighbors of a (queries x targets) squared-distance block."""
+    idx = np.argmin(sq, axis=1)  # first minimum = lowest index
+    return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
+
+
 def _nearest_brute(sources: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # serves targets of at most _BRUTE_FORCE_MAX points; chunking the queries
     # bounds the (queries x targets) distance block for long query sets
@@ -131,9 +139,7 @@ def _nearest_brute(sources: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray
     for s in range(0, m, chunk):
         e = min(m, s + chunk)
         sq = _row_sq_dists(queries[s:e, None, :], sources[None, :, :])
-        idx = np.argmin(sq, axis=1)  # first minimum = lowest index
-        indices[s:e] = idx
-        dists[s:e] = np.sqrt(sq[np.arange(e - s), idx])
+        indices[s:e], dists[s:e] = _nearest_in_block(sq)
     return indices, dists
 
 
@@ -170,18 +176,27 @@ def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
 
 
 def nearest_neighbors(
-    queries: np.ndarray, target: PointCloud, index: NNIndex | None = None
+    queries: np.ndarray, target: PointCloud, index: NNIndex | None = None, *,
+    block: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest target point for every query row: (indices, distances).
 
     Uses a vectorized scan for small targets and a kd-tree otherwise; the two
-    paths agree bit-for-bit, including the lowest-index tie rule.
+    paths agree bit-for-bit, including the lowest-index tie rule. ``block`` is
+    the caller's (queries x target) ``_row_sq_dists`` block, which replaces the
+    search when given.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != target.dim:
         raise InvalidInputError(
             f"queries must have shape (m, {target.dim}), got {queries.shape}"
         )
+    if block is not None:
+        if np.shape(block) != (len(queries), len(target)):
+            raise InvalidInputError(
+                f"block must have shape ({len(queries)}, {len(target)}), got {np.shape(block)}"
+            )
+        return _nearest_in_block(block)
     if len(target) <= _BRUTE_FORCE_MAX:
         return _nearest_brute(target.points, queries)
     if index is None:
@@ -196,7 +211,10 @@ class Matching:
     predicted point, ``g_to_p`` the reverse, and the hit counts say how many
     points select each point as their match. Every Chamfer-family value and
     gradient is a reduction over one matching. Each direction is searched on
-    first use, so a caller that needs one direction pays for one pass.
+    first use, so a caller that needs one direction pays for one pass. When
+    both clouds are on the scan path (at most _BRUTE_FORCE_MAX points each),
+    one (p x g) squared-distance block, built on first use, serves both
+    directions: its rows for ``p_to_g`` and its columns for ``g_to_p``.
     """
 
     def __init__(self, p: PointCloud, g: PointCloud):
@@ -204,18 +222,27 @@ class Matching:
             raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
         self.p = p
         self.g = g
-        self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = None
+        self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = self._block = None
+
+    def _shared_block(self) -> np.ndarray | None:
+        if max(len(self.p), len(self.g)) > _BRUTE_FORCE_MAX:
+            return None
+        if self._block is None:
+            self._block = _row_sq_dists(self.p.points[:, None], self.g.points[None])
+        return self._block
 
     @property
     def p_to_g(self) -> tuple[np.ndarray, np.ndarray]:
         if self._p_to_g is None:
-            self._p_to_g = nearest_neighbors(self.p.points, self.g)
+            self._p_to_g = nearest_neighbors(self.p.points, self.g, block=self._shared_block())
         return self._p_to_g
 
     @property
     def g_to_p(self) -> tuple[np.ndarray, np.ndarray]:
         if self._g_to_p is None:
-            self._g_to_p = nearest_neighbors(self.g.points, self.p)
+            block = self._shared_block()
+            block = None if block is None else block.T
+            self._g_to_p = nearest_neighbors(self.g.points, self.p, block=block)
         return self._g_to_p
 
     @property

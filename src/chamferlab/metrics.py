@@ -32,6 +32,12 @@ def _check_r(r: int) -> None:
         raise InvalidInputError(f"distance order r must be 1 or 2, got {r}")
 
 
+def _mean(x: np.ndarray) -> float:
+    # np.mean's Python wrapper costs more than the sum on a descent step's
+    # 64 elements; this is the same sum and division, so the same float
+    return float(x.sum() / x.size)
+
+
 def _matched(p: PointCloud, g: PointCloud, matching: Matching | None) -> Matching:
     """The matching of (p, g): the one the caller already holds, or a new one."""
     if matching is None:
@@ -51,7 +57,7 @@ def cd_local(p: PointCloud, g: PointCloud, r: int = 1, *,
     m = _matched(p, g, matching)
     _check_r(r)
     _, d = m.p_to_g
-    return float(np.mean(d if r == 1 else d * d))
+    return _mean(d if r == 1 else d * d)
 
 
 def cd_global(p: PointCloud, g: PointCloud, r: int = 1, *,
@@ -63,7 +69,7 @@ def cd_global(p: PointCloud, g: PointCloud, r: int = 1, *,
     m = _matched(p, g, matching)
     _check_r(r)
     _, d = m.g_to_p
-    return float(np.mean(d if r == 1 else d * d))
+    return _mean(d if r == 1 else d * d)
 
 
 def chamfer_l1(p: PointCloud, g: PointCloud, *, matching: Matching | None = None) -> float:
@@ -91,9 +97,9 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     _check_positive("temperature", temperature)
     gi, gd = m.p_to_g
     pi, pd = m.g_to_p
-    term_p = np.mean(1.0 - np.exp(-temperature * gd) / m.hits_on_g[gi])
-    term_g = np.mean(1.0 - np.exp(-temperature * pd) / m.hits_on_p[pi])
-    return float(0.5 * (term_p + term_g))
+    term_p = _mean(1.0 - np.exp(-temperature * gd) / m.hits_on_g[gi])
+    term_g = _mean(1.0 - np.exp(-temperature * pd) / m.hits_on_p[pi])
+    return 0.5 * (term_p + term_g)
 
 
 def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:

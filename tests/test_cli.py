@@ -172,6 +172,13 @@ class TestSweepCommand:
     def test_range_outside_validity_exits_3(self, capsys):
         assert main(["sweep", "--x-min", "0.1", "--x-max", "0.4"]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--x-max", "inf"], ["--x-step", "nan"], ["--x-min", "nan"], ["--x-max", "nan"],
+    ])
+    def test_non_finite_range_exits_3(self, capsys, flags):
+        assert main(["sweep", *flags]) == 3
+        assert "invalid sweep range: " in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_benchmark_run_emits_artifacts(self, tmp_path, capsys):

@@ -13,9 +13,15 @@ from chamferlab import (
     nearest_hit_counts,
     subsample,
 )
-from chamferlab.cloud import _nearest_tree, _row_sq_dists, nearest_neighbors
+from chamferlab import cloud as cloud_module
+from chamferlab.cloud import Matching, _nearest_tree, _row_sq_dists, nearest_neighbors
 
 from conftest import brute_force_nearest, random_cloud
+
+
+def _lattice(side: int, dim: int, shift: float = 0.0) -> np.ndarray:
+    """A side**dim grid of step 1/32 moved by shift on every axis: exact in binary."""
+    return np.indices((side,) * dim).reshape(dim, -1).T / 32.0 + shift
 
 
 class TestPointCloud:
@@ -120,7 +126,7 @@ class TestNearest:
         # a 1/32 lattice is exact in binary, so cell centres, face centres and
         # edge midpoints tie exactly between 8 (4 in 2D), 4 and 2 lattice points
         for dim, side in ((3, 7), (2, 18)):
-            lattice = np.indices((side,) * dim).reshape(dim, -1).T / 32.0
+            lattice = _lattice(side, dim)
             targets = (
                 random_cloud(rng, 30, dim).points,  # scan path
                 random_cloud(rng, 300, dim).points,  # tree path from here on
@@ -173,6 +179,65 @@ class TestNearest:
         assert (bits(_row_sq_dists(queries, points[rows]))
                 == bits(reduction(queries, points[rows]))).all()
         assert (bits(_row_sq_dists(points, points[3])) == bits(reduction(points, points[3]))).all()
+
+
+def _small_pairs(rng):
+    """(name, p, g) pairs with at most 64 points per side: the shared-block path."""
+    dup = np.concatenate([_lattice(4, 3)[:20], _lattice(4, 3)[:20]])
+    yield "random-3d", rng.random((64, 3)), rng.random((64, 3))
+    yield "random-2d", rng.random((40, 2)), rng.random((17, 2))
+    # the shifted lattice sits on cell centres of the other: each point of
+    # either cloud ties exactly between up to 8 (3D) or 4 (2D) points
+    yield "lattice-3d", _lattice(4, 3), _lattice(4, 3, 1 / 64)
+    yield "lattice-2d", _lattice(8, 2, 1 / 64), _lattice(8, 2)
+    yield "duplicates", dup, dup[::-1].copy()
+    yield "1x1", rng.random((1, 3)), rng.random((1, 3))
+    yield "1x64", rng.random((1, 2)), rng.random((64, 2))
+    yield "64x3", rng.random((64, 3)), rng.random((3, 3))
+
+
+@pytest.fixture
+def block_shapes(monkeypatch) -> list[tuple[int, ...]]:
+    """Result shapes of the _row_sq_dists calls made by the cloud module."""
+    shapes = []
+
+    def counted(queries, points):
+        out = _row_sq_dists(queries, points)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(cloud_module, "_row_sq_dists", counted)
+    return shapes
+
+
+class TestMatching:
+    def test_shared_block_matches_brute_force(self, rng):
+        for name, p, g in _small_pairs(rng):
+            m = Matching(PointCloud(p), PointCloud(g))
+            for (idx, dist), src, dst in ((m.p_to_g, p, g), (m.g_to_p, g, p)):
+                for k, q in enumerate(src):
+                    assert (idx[k], dist[k]) == brute_force_nearest(dst, q), name
+
+    def test_both_directions_cost_one_block(self, rng, nn_calls, block_shapes):
+        p, g = random_cloud(rng, 30), random_cloud(rng, 64)
+        m = Matching(p, g)
+        m.p_to_g, m.g_to_p
+        assert block_shapes == [(30, 64)]
+        assert nn_calls == [30, 64]
+
+    def test_more_than_64_points_on_one_side_builds_no_block(self, rng, block_shapes):
+        p, g = random_cloud(rng, 10), random_cloud(rng, 65)
+        m = Matching(p, g)
+        for (idx, dist), src, dst in ((m.p_to_g, p, g), (m.g_to_p, g, p)):
+            for k, q in enumerate(src.points):
+                assert (idx[k], dist[k]) == brute_force_nearest(dst.points, q)
+        assert (10, 65) not in block_shapes
+
+    @pytest.mark.parametrize("shape", [(4, 5), (5,), (5, 4, 1), (5, 3)])
+    def test_misshaped_block_is_rejected(self, rng, shape):
+        queries, target = rng.random((5, 3)), random_cloud(rng, 4)
+        with pytest.raises(InvalidInputError):
+            nearest_neighbors(queries, target, block=np.zeros(shape))
 
 
 class TestHitCounts:

@@ -55,6 +55,11 @@ def _runs() -> dict[str, list[str]]:
             "metrics", "lattice2_p.xyz", "lattice2_g.xyz", "--emd-approx",
         ],
         "metrics-tree-random": ["metrics", "c.xyz", "d.xyz", "--csv", "report.csv"],
+        # 64 points per side: one distance block serves both directions, with
+        # exact ties between up to 8 candidates in each
+        "metrics-lattice-scan": [
+            "metrics", "lattice4_p.xyz", "lattice4_g.xyz", "--out-dir", "report",
+        ],
         # argparse rejects --c as ambiguous here: metrics has --csv and --config
         "metrics-c-prefix": ["metrics", "pred.xyz", "gt.xyz", "--c", "x.csv"],
     }
@@ -65,6 +70,9 @@ def _runs() -> dict[str, list[str]]:
     runs["schedule-config"] = ["schedule", "--kind", "linear", "--config", "schedule.json"]
     runs["sweep"] = ["sweep"]
     runs["sweep-out"] = ["sweep", "--out", "sweep.csv"]
+    runs["sweep-x-max-inf"] = ["sweep", "--x-max", "inf"]
+    runs["sweep-x-step-nan"] = ["sweep", "--x-step", "nan"]
+    runs["sweep-x-min-nan"] = ["sweep", "--x-min", "nan"]
     runs["batch"] = ["batch", "--dir", "pairs"]
     runs["batch-out-parallel"] = [
         "batch", "--dir", "pairs", "--out", "table.csv", "--parallelism", "2",
@@ -84,6 +92,11 @@ def _runs() -> dict[str, list[str]]:
     }
     for name, flags in optimize.items():
         runs[f"optimize-{name}"] = [*BENCH, *flags, "--out-dir", "run"]
+    # 40 init points match 80 targets on the kd-tree, 80 targets match 40
+    # init points on the scan: both paths meet in one matching every step
+    runs["optimize-small-init-big-target"] = [
+        "optimize", "--init", "pred.xyz", "--target", "c.xyz", "--steps", "300", "--out-dir", "run",
+    ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
     return runs
@@ -121,6 +134,8 @@ def _write_inputs(root: Path) -> None:
         "lattice3_g.xyz": _lattice(5, 3, 1),
         "lattice2_p.xyz": _lattice(10, 2, 0),
         "lattice2_g.xyz": _lattice(10, 2, 1),
+        "lattice4_p.xyz": _lattice(4, 3, 0),
+        "lattice4_g.xyz": _lattice(4, 3, 1),
     }
     for k in range(3):
         files[f"pairs/case{k}_pred.xyz"] = _cloud(rng, 12)
