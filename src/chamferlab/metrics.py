@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
 from .cloud import Matching, PointCloud, TriangleMesh, _row_sq_dists
@@ -15,6 +16,13 @@ from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps th
 from .errors import InvalidInputError
 
 EMD_EXACT_MAX = 1024
+# emd_approx: a scaling-domain product outside [1/SCALING_RANGE, SCALING_RANGE]
+# sends its half-step to the log domain
+SCALING_RANGE = 1e100
+# point_to_mesh: pruning slack per unit of the largest coordinate, and the
+# (point, triangle) pairs evaluated at once
+P2M_SLACK = 2.0**-40
+P2M_PAIR_CHUNK = 1 << 16
 
 
 def _check_pair(p: PointCloud, g: PointCloud) -> None:
@@ -93,8 +101,8 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     with equal plain Chamfer distance. ``temperature`` scales the exponential
     distance kernel.
     """
-    m = _matched(p, g, matching)
     _check_positive("temperature", temperature)
+    m = _matched(p, g, matching)
     gi, gd = m.p_to_g
     pi, pd = m.g_to_p
     term_p = _mean(1.0 - np.exp(-temperature * gd) / m.hits_on_g[gi])
@@ -122,16 +130,29 @@ def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:
     return total / len(p) if mean else total
 
 
+def _in_range(s: np.ndarray) -> bool:
+    """Whether every entry lies in the safe range of the scalings (NaN does not)."""
+    return 1.0 / SCALING_RANGE <= s.min() and s.max() <= SCALING_RANGE
+
+
 def emd_approx(
     p: PointCloud, g: PointCloud, iterations: int = 1000, epsilon: float = 0.01
 ) -> float:
     """Entropic-regularized transport cost approximating the Earth Mover's Distance.
 
-    Log-domain Sinkhorn iterations with uniform marginals; smaller ``epsilon``
-    tightens the approximation at the price of slower convergence. The plan is
-    rounded to exact marginal feasibility before costing, so the result is an
-    upper bound on the exact value and shrinks toward it as iterations grow.
-    The value is a mean per unit mass, comparable to ``emd_exact(..., mean=True)``.
+    Sinkhorn iterations with uniform marginals; smaller ``epsilon`` tightens
+    the approximation at the price of slower convergence. The plan is rounded
+    to exact marginal feasibility before costing, so the result is an upper
+    bound on the exact value and shrinks toward it as iterations grow. The
+    value is a mean per unit mass, comparable to ``emd_exact(..., mean=True)``.
+
+    The iterates are those of log-domain Sinkhorn (f = h = 0, h updated first),
+    run in the scaling domain: the potentials are f + eps*log(u) and
+    h + eps*log(v), and each half-step is one matrix-vector product with the
+    kernel exp((f + h - C) / eps). A half-step whose product leaves
+    SCALING_RANGE runs in the log domain instead; f and h then absorb the
+    scalings and the kernel is rebuilt (Schmitzer 2019, "Stabilized sparse
+    scaling algorithms for entropy regularized transport problems").
     """
     _check_pair(p, g)
     _check_positive("epsilon", epsilon)
@@ -145,10 +166,31 @@ def emd_approx(
     log_b = np.log(b)
     f = np.zeros(n)
     h = np.zeros(m)
+    u = np.ones(n)
+    v = np.ones(m)
+
+    def kernel_of(f, h):
+        return np.exp((f[:, None] + h[None, :] - cost) / epsilon)
+
+    kernel = kernel_of(f, h)
     for _ in range(iterations):
-        h = -epsilon * logsumexp((f[:, None] - cost) / epsilon + log_a[:, None], axis=0)
-        f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + log_b[None, :], axis=1)
-    plan = np.exp((f[:, None] + h[None, :] - cost) / epsilon + log_a[:, None] + log_b[None, :])
+        s = kernel.T @ (a * u)
+        if _in_range(s):
+            v = 1.0 / s
+        else:
+            f = f + epsilon * np.log(u)
+            h = -epsilon * logsumexp((f[:, None] - cost) / epsilon + log_a[:, None], axis=0)
+            u, v = np.ones(n), np.ones(m)
+            kernel = kernel_of(f, h)
+        s = kernel @ (b * v)
+        if _in_range(s):
+            u = 1.0 / s
+        else:
+            h = h + epsilon * np.log(v)
+            f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + log_b[None, :], axis=1)
+            u, v = np.ones(n), np.ones(m)
+            kernel = kernel_of(f, h)
+    plan = (a * u)[:, None] * kernel * (b * v)[None, :]
 
     # round to a feasible plan: scale rows/columns down to their marginals,
     # then restore missing mass with a rank-one patch
@@ -166,8 +208,8 @@ def emd_approx(
 
 def fscore(p: PointCloud, g: PointCloud, threshold: float = 0.01) -> float:
     """Harmonic mean of precision and recall at a distance threshold."""
-    m = Matching(p, g)
     _check_positive("threshold", threshold)
+    m = Matching(p, g)
     precision = float(np.mean(m.p_to_g[1] <= threshold))
     recall = float(np.mean(m.g_to_p[1] <= threshold))
     if precision + recall == 0.0:
@@ -186,10 +228,8 @@ def fidelity(partial_input: PointCloud, output: PointCloud) -> float:
     return cd_local(partial_input, output, 1)
 
 
-def _point_triangle_sqdists(q: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
-    """Exact squared distance from one point to every mesh triangle."""
-    verts, tris = mesh.vertices, mesh.triangles
-    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+def _point_triangle_sqdists(q: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact squared distance from each row of q to the triangle (a, b, c) of that row."""
 
     def seg_sq(s0, s1):
         edge = s1 - s0
@@ -219,13 +259,40 @@ def _point_triangle_sqdists(q: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
 
 
 def point_to_mesh(p: PointCloud, mesh: TriangleMesh) -> float:
-    """Mean exact distance from each point to the nearest mesh triangle."""
+    """Mean exact distance from each point to the nearest mesh triangle.
+
+    A kd-tree over triangle centroids prunes the scan exactly: the distance
+    to the nearest centroid's triangle bounds each point's distance, and a
+    triangle whose bounding sphere lies farther than that bound cannot hold
+    the minimum. The survivors get the same per-triangle arithmetic as a scan
+    of every triangle, so the result equals that scan's bit for bit.
+    """
     if p.dim != 3:
         raise InvalidInputError("point-to-mesh distance requires 3D points")
-    dists = np.empty(len(p))
-    for i, q in enumerate(p.points):
-        dists[i] = np.sqrt(_point_triangle_sqdists(q, mesh).min())
-    return float(np.mean(dists))
+    points = p.points
+    corners = mesh.vertices[mesh.triangles]  # (triangles, corner, xyz)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    centroids = corners.mean(axis=1)
+    radii = np.sqrt(((corners - centroids[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    # the pruning test and the distances round by a few ulps of the largest
+    # coordinate; this slack only ever keeps extra triangles
+    slack = P2M_SLACK * max(np.abs(points).max(), np.abs(mesh.vertices).max())
+    tree = cKDTree(centroids)
+
+    _, first = tree.query(points)
+    best = _point_triangle_sqdists(points, a[first], b[first], c[first])
+    bound = np.sqrt(best) + slack
+    per_query = max(1, P2M_PAIR_CHUNK // len(mesh))  # a ball holds at most every triangle
+    for lo in range(0, len(points), per_query):
+        idx = np.arange(lo, min(lo + per_query, len(points)))
+        balls = tree.query_ball_point(points[idx], bound[idx] + radii.max() + slack)
+        rows = np.repeat(idx, [len(ball) for ball in balls])
+        tris = np.concatenate(balls).astype(np.intp)
+        gap = np.sqrt(_row_sq_dists(points[rows], centroids[tris])) - radii[tris]
+        keep = gap <= bound[rows]
+        rows, tris = rows[keep], tris[keep]
+        np.minimum.at(best, rows, _point_triangle_sqdists(points[rows], a[tris], b[tris], c[tris]))
+    return float(np.mean(np.sqrt(best)))
 
 
 @dataclass

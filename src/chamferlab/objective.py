@@ -145,8 +145,8 @@ def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     Assignments and match counts are frozen at the current configuration, so
     only the exponential distance kernels are differentiated.
     """
-    m = _matched(p, g, matching)
     _check_positive("temperature", temperature)
+    m = _matched(p, g, matching)
     gi, gd = m.p_to_g
     pi, pd = m.g_to_p
 

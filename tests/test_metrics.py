@@ -24,6 +24,7 @@ from chamferlab import (
     hausdorff,
     point_to_mesh,
 )
+from chamferlab import metrics
 from chamferlab.cloud import Matching
 from chamferlab.objective import dcd_gradient
 
@@ -54,7 +55,7 @@ def norm_cost(p: PointCloud, g: PointCloud) -> np.ndarray:
 
 
 def norm_cost_sinkhorn(p: PointCloud, g: PointCloud, iterations: int, epsilon: float) -> float:
-    """Reference: emd_approx's log-domain Sinkhorn and rounding over the norm cost."""
+    """Oracle: log-domain Sinkhorn and feasibility rounding over the norm cost."""
     cost = norm_cost(p, g)
     a, b = np.full(len(p), 1.0 / len(p)), np.full(len(g), 1.0 / len(g))
     f, h = np.zeros(len(p)), np.zeros(len(g))
@@ -63,12 +64,114 @@ def norm_cost_sinkhorn(p: PointCloud, g: PointCloud, iterations: int, epsilon: f
         f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + np.log(b)[None, :], axis=1)
     plan = np.exp((f[:, None] + h[None, :] - cost) / epsilon
                   + np.log(a)[:, None] + np.log(b)[None, :])
-    plan *= np.minimum(a / np.maximum(plan.sum(axis=1), 1e-300), 1.0)[:, None]
+    return rounded_cost(plan, cost, a, b)
+
+
+def norm_cost_scaling_sinkhorn(p: PointCloud, g: PointCloud, iterations: int,
+                               epsilon: float) -> float:
+    """Reference: emd_approx's scaling-domain Sinkhorn and rounding over the norm cost."""
+    cost = norm_cost(p, g)
+    a, b = np.full(len(p), 1.0 / len(p)), np.full(len(g), 1.0 / len(g))
+    f, h = np.zeros(len(p)), np.zeros(len(g))
+    u, v = np.ones(len(p)), np.ones(len(g))
+
+    def kernel():
+        return np.exp((f[:, None] + h[None, :] - cost) / epsilon)
+
+    def safe(s):
+        return 1.0 / metrics.SCALING_RANGE <= s.min() and s.max() <= metrics.SCALING_RANGE
+
+    k = kernel()
+    for _ in range(iterations):
+        s = k.T @ (a * u)
+        if safe(s):
+            v = 1.0 / s
+        else:
+            f = f + epsilon * np.log(u)
+            h = -epsilon * logsumexp((f[:, None] - cost) / epsilon + np.log(a)[:, None], axis=0)
+            u, v, k = np.ones(len(p)), np.ones(len(g)), kernel()
+        s = k @ (b * v)
+        if safe(s):
+            u = 1.0 / s
+        else:
+            h = h + epsilon * np.log(v)
+            f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + np.log(b)[None, :], axis=1)
+            u, v, k = np.ones(len(p)), np.ones(len(g)), kernel()
+    return rounded_cost((a * u)[:, None] * k * (b * v)[None, :], cost, a, b)
+
+
+def rounded_cost(plan: np.ndarray, cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Cost of the plan after emd_approx's feasibility rounding."""
+    plan = plan * np.minimum(a / np.maximum(plan.sum(axis=1), 1e-300), 1.0)[:, None]
     plan *= np.minimum(b / np.maximum(plan.sum(axis=0), 1e-300), 1.0)[None, :]
     err_a, err_b = a - plan.sum(axis=1), b - plan.sum(axis=0)
     if err_a.sum() > 0:
         plan = plan + np.outer(err_a, err_b) / err_a.sum()
     return float((plan * cost).sum())
+
+
+@pytest.fixture
+def log_domain_steps(monkeypatch) -> list[int]:
+    """Lengths of the log-domain half-steps emd_approx falls back to."""
+    calls: list[int] = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.size)
+        return logsumexp(x, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "logsumexp", counted)
+    return calls
+
+
+def scan_point_triangle_sqdists(q: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
+    """Reference: squared distance from one point to every mesh triangle."""
+    verts, tris = mesh.vertices, mesh.triangles
+    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+
+    def seg_sq(s0, s1):
+        edge = s1 - s0
+        t = np.einsum("ij,ij->i", q - s0, edge) / np.einsum("ij,ij->i", edge, edge)
+        t = np.clip(t, 0.0, 1.0)
+        delta = q - (s0 + t[:, None] * edge)
+        return np.einsum("ij,ij->i", delta, delta)
+
+    sq = np.minimum(seg_sq(a, b), np.minimum(seg_sq(b, c), seg_sq(c, a)))
+    e0, e1 = b - a, c - a
+    d00 = np.einsum("ij,ij->i", e0, e0)
+    d01 = np.einsum("ij,ij->i", e0, e1)
+    d11 = np.einsum("ij,ij->i", e1, e1)
+    det = d00 * d11 - d01 * d01
+    dp = q - a
+    d0p = np.einsum("ij,ij->i", e0, dp)
+    d1p = np.einsum("ij,ij->i", e1, dp)
+    u = (d11 * d0p - d01 * d1p) / det
+    v = (d00 * d1p - d01 * d0p) / det
+    inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+    proj = a + u[:, None] * e0 + v[:, None] * e1
+    delta = q - proj
+    plane_sq = np.einsum("ij,ij->i", delta, delta)
+    return np.where(inside, np.minimum(sq, plane_sq), sq)
+
+
+def scan_point_to_mesh(p: PointCloud, mesh: TriangleMesh) -> float:
+    """Reference: every point against every triangle, one point at a time."""
+    dists = np.empty(len(p))
+    for i, q in enumerate(p.points):
+        dists[i] = np.sqrt(scan_point_triangle_sqdists(q, mesh).min())
+    return float(np.mean(dists))
+
+
+def height_mesh(side: int, offset: float = 0.0) -> TriangleMesh:
+    """A (side-1)^2-quad triangulation of z = sin(2 pi x) cos(2 pi y) / 4 on the unit square."""
+    axis = np.linspace(0.0, 1.0, side)
+    gx, gy = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    verts = np.column_stack([gx, gy, 0.25 * np.sin(2 * np.pi * gx) * np.cos(2 * np.pi * gy)])
+    faces = []
+    for i in range(side - 1):
+        for j in range(side - 1):
+            a, b = i * side + j, (i + 1) * side + j
+            faces += [(a, b, b + 1), (a, b + 1, a + 1)]
+    return TriangleMesh(verts + offset, faces)
 
 
 class TestChamferFamily:
@@ -215,7 +318,31 @@ class TestEmdApprox:
     def test_bit_identical_to_sinkhorn_over_the_norm_cost(self, rng):
         for dim, n, m in ((2, 6, 6), (3, 12, 12), (3, 20, 9)):
             p, g = random_cloud(rng, n, dim), random_cloud(rng, m, dim)
-            assert emd_approx(p, g, 40, 0.01) == norm_cost_sinkhorn(p, g, 40, 0.01)
+            assert emd_approx(p, g, 40, 0.01) == norm_cost_scaling_sinkhorn(p, g, 40, 0.01)
+        # a pair whose first half-step already underflows takes the log-domain branch
+        p, g = random_cloud(rng, 15, scale=100.0), random_cloud(rng, 11, scale=100.0)
+        assert emd_approx(p, g, 40, 0.01) == norm_cost_scaling_sinkhorn(p, g, 40, 0.01)
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.002])
+    def test_agrees_with_the_log_domain_iteration(self, rng, epsilon, log_domain_steps):
+        pairs = [(random_cloud(rng, n, dim), random_cloud(rng, m, dim))
+                 for dim, n, m in ((2, 30, 30), (3, 64, 48), (3, 17, 90))]
+        lattice = np.array(list(itertools.product(range(5), repeat=3))) / 32
+        pairs.append((PointCloud(lattice), PointCloud(lattice[::2] + 1 / 64)))
+        for p, g in pairs:
+            value = emd_approx(p, g, 300, epsilon)
+            oracle = norm_cost_sinkhorn(p, g, 300, epsilon)
+            assert abs(value - oracle) <= 1e-12 * oracle
+        if epsilon == 0.01:  # unit-scale data never leaves the scaling domain
+            assert log_domain_steps == []
+
+    @pytest.mark.parametrize("scale, epsilon", [(100.0, 0.01), (1000.0, 0.01), (1.0, 1e-4)])
+    def test_stress_pairs_fall_back_to_the_log_domain(self, rng, scale, epsilon, log_domain_steps):
+        p, g = random_cloud(rng, 40, scale=scale), random_cloud(rng, 33, scale=scale)
+        value = emd_approx(p, g, 200, epsilon)
+        assert log_domain_steps  # at least the first half-step underflows
+        oracle = norm_cost_sinkhorn(p, g, 200, epsilon)
+        assert abs(value - oracle) <= 1e-12 * oracle
 
     def test_rejects_bad_epsilon(self, rng):
         p, g = random_cloud(rng, 3), random_cloud(rng, 3)
@@ -248,6 +375,16 @@ class TestFscore:
         for threshold in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError, match="threshold"):
                 fscore(p, g, threshold)
+
+    def test_rejected_parameters_make_no_nn_pass(self, rng, nn_calls):
+        p, g = random_cloud(rng, 100), random_cloud(rng, 90, dim=2)
+        with pytest.raises(InvalidInputError, match="threshold"):
+            fscore(p, g, -1.0)
+        with pytest.raises(InvalidInputError, match="temperature"):
+            dcd(p, g, float("nan"))
+        with pytest.raises(InvalidInputError, match="temperature"):
+            dcd_gradient(p, g, 0.0)
+        assert nn_calls == []
 
 
 class TestHausdorff:
@@ -307,6 +444,88 @@ class TestPointToMesh:
     def test_rejects_2d_cloud(self, rng):
         with pytest.raises(InvalidInputError):
             point_to_mesh(random_cloud(rng, 3, dim=2), self.UNIT_TRI)
+
+    @staticmethod
+    def assert_scan_identical(points: np.ndarray, mesh: TriangleMesh) -> None:
+        cloud = PointCloud(points)
+        assert point_to_mesh(cloud, mesh) == scan_point_to_mesh(cloud, mesh)
+        for q in points:
+            one = PointCloud([q])
+            assert point_to_mesh(one, mesh) == scan_point_to_mesh(one, mesh)
+
+    def test_lattice_points_on_shared_edges_and_vertices(self):
+        mesh = height_mesh(9)  # 128 triangles, edges 1/8 long
+        corners = mesh.vertices[mesh.triangles]
+        on_mesh = np.vstack([
+            mesh.vertices,
+            (corners + np.roll(corners, 1, axis=1)).reshape(-1, 3) / 2,  # shared edge midpoints
+            corners.mean(axis=1),
+        ])
+        axis = np.arange(33) / 32
+        gx, gy = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+        gz = np.round(8 * np.sin(2 * np.pi * gx) * np.cos(2 * np.pi * gy)) / 32
+        lattice = np.column_stack([gx, gy, gz])
+        points = np.vstack([on_mesh, on_mesh + [0, 0, 1 / 64], lattice[::3]])
+        self.assert_scan_identical(points, mesh)
+
+    def test_one_large_triangle_among_small_ones(self, rng):
+        small = height_mesh(7)
+        big = [[-4.0, -4.0, 0.5], [6.0, -4.0, 0.5], [0.5, 6.0, 0.5]]
+        mesh = TriangleMesh(np.vstack([small.vertices, big]),
+                            np.vstack([small.triangles, [[49, 50, 51]]]))
+        # just under the big triangle: its centroid is far, the small ones' are near
+        points = rng.random((60, 3)) * [1.0, 1.0, 0.2] + [0.0, 0.0, 0.3]
+        self.assert_scan_identical(points, mesh)
+        assert point_to_mesh(PointCloud([[0.5, 0.5, 0.49]]), mesh) == pytest.approx(0.01)
+
+    def test_points_far_from_the_mesh(self, rng):
+        directions = rng.normal(size=(40, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        points = 0.5 + directions * rng.uniform(10.0, 1e4, size=(40, 1))
+        self.assert_scan_identical(points, height_mesh(6))
+
+    def test_coordinates_offset_by_1e6(self, rng):
+        mesh = height_mesh(8, offset=1e6)
+        points = np.vstack([mesh.vertices[::3], 1e6 + rng.random((50, 3)) - [0, 0, 0.5]])
+        self.assert_scan_identical(points, mesh)
+
+    def test_one_triangle_mesh_and_one_point_cloud(self, rng):
+        self.assert_scan_identical(rng.random((30, 3)) * 3 - 1, self.UNIT_TRI)
+        mesh = height_mesh(10)
+        for q in ([0.5, 0.5, 0.0], [0.25, 0.0, 0.25], [3.0, -2.0, 1.0]):
+            one = PointCloud([q])
+            assert point_to_mesh(one, mesh) == scan_point_to_mesh(one, mesh)
+
+    def test_bounded_pair_chunks_give_the_same_value(self, rng, monkeypatch):
+        mesh = height_mesh(9)
+        cloud = PointCloud(rng.random((80, 3)) - [0, 0, 0.5])
+        expected = scan_point_to_mesh(cloud, mesh)
+        for chunk in (1, 300, 5000):
+            monkeypatch.setattr(metrics, "P2M_PAIR_CHUNK", chunk)
+            assert point_to_mesh(cloud, mesh) == expected
+
+    def test_prunes_most_triangles(self, rng, monkeypatch):
+        rows = []
+        original = metrics._point_triangle_sqdists
+
+        def counted(q, *corners):
+            rows.append(len(q))
+            return original(q, *corners)
+
+        monkeypatch.setattr(metrics, "_point_triangle_sqdists", counted)
+        mesh = height_mesh(23)  # 968 triangles
+        cloud = PointCloud(rng.random((200, 3)) * [1, 1, 0.5] - [0, 0, 0.25])
+        point_to_mesh(cloud, mesh)
+        assert sum(rows) < len(cloud) * len(mesh) / 20
+        # one large triangle widens every ball to the whole mesh; the
+        # per-triangle bounding-sphere test still drops most of it
+        rows.clear()
+        small = height_mesh(7)
+        big = [[-4.0, -4.0, 0.5], [6.0, -4.0, 0.5], [0.5, 6.0, 0.5]]
+        mesh = TriangleMesh(np.vstack([small.vertices, big]),
+                            np.vstack([small.triangles, [[49, 50, 51]]]))
+        point_to_mesh(cloud, mesh)
+        assert sum(rows) < len(cloud) * len(mesh) / 3
 
 
 class TestFidelity:

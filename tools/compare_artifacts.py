@@ -60,6 +60,11 @@ def _runs() -> dict[str, list[str]]:
         "metrics-lattice-scan": [
             "metrics", "lattice4_p.xyz", "lattice4_g.xyz", "--out-dir", "report",
         ],
+        # 200 height-field triangles against lattice points on their shared
+        # vertices and edges and between them: kd-tree pruning and exact ties
+        "metrics-mesh-lattice": [
+            "metrics", "mesh_p.xyz", "mesh_g.xyz", "--mesh", "height.ply",
+        ],
         # argparse rejects --c as ambiguous here: metrics has --csv and --config
         "metrics-c-prefix": ["metrics", "pred.xyz", "gt.xyz", "--c", "x.csv"],
     }
@@ -114,6 +119,31 @@ def _lattice(side: int, dim: int, shift: int) -> str:
     )
 
 
+def _height_mesh(side: int) -> str:
+    """ASCII PLY of a (side-1)^2-quad height field on the 1/8 grid, heights k/16."""
+    verts = [(i / 8, j / 8, (i * j % 5) / 16) for i in range(side) for j in range(side)]
+    faces = []
+    for i in range(side - 1):
+        for j in range(side - 1):
+            a, b = i * side + j, (i + 1) * side + j
+            faces += [(a, b, b + 1), (a, b + 1, a + 1)]
+    header = (
+        f"ply\nformat ascii 1.0\nelement vertex {len(verts)}\nproperty float x\n"
+        f"property float y\nproperty float z\nelement face {len(faces)}\n"
+        "property list uchar int vertex_indices\nend_header\n"
+    )
+    return (header + "".join(" ".join(repr(c) for c in v) + "\n" for v in verts)
+            + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces))
+
+
+def _height_lattice(side: int, shift: int) -> str:
+    """Points on the 1/16 grid, heights k/32: on the mesh's vertices and edges and off them."""
+    return "".join(
+        f"{repr(i / 16)} {repr(j / 16)} {repr(((i * j + shift) % 7 - 1) / 32)}\n"
+        for i in range(-1, side) for j in range(-1, side)
+    )
+
+
 def _write_inputs(root: Path) -> None:
     """The same input files, byte for byte, in every run directory."""
     rng = random.Random(20240901)
@@ -136,6 +166,9 @@ def _write_inputs(root: Path) -> None:
         "lattice2_g.xyz": _lattice(10, 2, 1),
         "lattice4_p.xyz": _lattice(4, 3, 0),
         "lattice4_g.xyz": _lattice(4, 3, 1),
+        "height.ply": _height_mesh(11),
+        "mesh_p.xyz": _height_lattice(22, 0),
+        "mesh_g.xyz": _height_lattice(22, 3),
     }
     for k in range(3):
         files[f"pairs/case{k}_pred.xyz"] = _cloud(rng, 12)
