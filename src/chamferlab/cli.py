@@ -16,6 +16,7 @@ from . import __version__
 from .analysis import build_ambiguity_pair, default_sweep_config, sweep, sweep_to_csv, SweepConfig
 from .cloud import PointCloud
 from .descent import (
+    OBJECTIVE_KINDS,
     ObjectiveSpec,
     OptimizerConfig,
     clustered_grid_benchmark,
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", help="named benchmark (clustered-grid)")
     p.add_argument("--init", help="initial cloud file")
     p.add_argument("--target", help="target cloud file")
-    p.add_argument("--objective", default="fcd", choices=("cd-l1", "cd-l2", "fcd", "dcd-loss"))
+    p.add_argument("--objective", default="fcd", choices=OBJECTIVE_KINDS)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--r", type=int, default=1, choices=(1, 2))

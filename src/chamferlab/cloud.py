@@ -9,14 +9,12 @@ from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 
-# Up to this target size the vectorized scan serves. With as many queries as
-# targets, tree build included, a kd-tree pass costs about 60 us against 20 us
-# for the scan at 2 points and the two cross between 128 and 192 points, in 2D
-# and 3D (2 vCPUs, numpy 2.4, scipy 1.17). The value stays at 64 because no
-# benchmarked workload has targets between 65 and 191 points. Both paths use
-# _row_sq_dists and the lowest-index tie rule, so results are bit-identical.
-# When both clouds of a Matching are this small, one distance block serves
-# both directions, since (g - p)**2 == (p - g)**2 exactly.
+# When both clouds of a Matching have at most this many points, one (p x g)
+# _row_sq_dists block serves both directions, since (g - p)**2 == (p - g)**2
+# exactly; every other search runs on the kd-tree. The kd-tree, build included,
+# catches up with such a block between 128 and 192 points (2 vCPUs, numpy 2.4,
+# scipy 1.17); the value stays at 64 because no benchmarked workload has clouds
+# between 65 and 191 points.
 _BRUTE_FORCE_MAX = 64
 # kd-tree candidates closer than this relative gap are settled exactly
 _TIE_RTOL = 1e-9
@@ -129,28 +127,14 @@ def _nearest_in_block(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
 
 
-def _nearest_brute(sources: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # serves targets of at most _BRUTE_FORCE_MAX points; chunking the queries
-    # bounds the (queries x targets) distance block for long query sets
-    m = queries.shape[0]
-    indices = np.empty(m, dtype=np.intp)
-    dists = np.empty(m, dtype=np.float64)
-    chunk = max(1, int(4_000_000 // max(1, sources.shape[0])))
-    for s in range(0, m, chunk):
-        e = min(m, s + chunk)
-        sq = _row_sq_dists(queries[s:e, None, :], sources[None, :, :])
-        indices[s:e], dists[s:e] = _nearest_in_block(sq)
-    return indices, dists
-
-
 def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
-    """Exact nearest neighbors from a kd-tree, bit-identical to the scan.
+    """Exact nearest neighbors from a kd-tree, bit-identical to a brute-force scan.
 
     The tree proposes its two nearest candidates. Where their tree distances
     lie within a relative _TIE_RTOL, the tree's rounding may have ordered an
     exact tie (or a larger one, on lattices) arbitrarily: every source point
     within that reach is gathered with one ball query, and the row keeps the
-    lowest index among the exact minima of the scan's arithmetic. Elsewhere
+    lowest index among the exact minima of _row_sq_dists. Elsewhere
     the first candidate is the unique nearest point and only its distance is
     recomputed. A 1-point target yields one candidate, which the ball query
     settles like a tie.
@@ -181,10 +165,10 @@ def nearest_neighbors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest target point for every query row: (indices, distances).
 
-    Uses a vectorized scan for small targets and a kd-tree otherwise; the two
-    paths agree bit-for-bit, including the lowest-index tie rule. ``block`` is
-    the caller's (queries x target) ``_row_sq_dists`` block, which replaces the
-    search when given.
+    Searches the kd-tree of ``index``, or of one built over ``target``.
+    ``block`` is the caller's (queries x target) ``_row_sq_dists`` block, which
+    replaces the search when given. Both paths agree bit for bit with a
+    brute-force scan, including the lowest-index tie rule.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != target.dim:
@@ -197,8 +181,6 @@ def nearest_neighbors(
                 f"block must have shape ({len(queries)}, {len(target)}), got {np.shape(block)}"
             )
         return _nearest_in_block(block)
-    if len(target) <= _BRUTE_FORCE_MAX:
-        return _nearest_brute(target.points, queries)
     if index is None:
         index = build_index(target)
     return _nearest_tree(index.tree, target.points, queries)
@@ -212,9 +194,10 @@ class Matching:
     points select each point as their match. Every Chamfer-family value and
     gradient is a reduction over one matching. Each direction is searched on
     first use, so a caller that needs one direction pays for one pass. When
-    both clouds are on the scan path (at most _BRUTE_FORCE_MAX points each),
-    one (p x g) squared-distance block, built on first use, serves both
-    directions: its rows for ``p_to_g`` and its columns for ``g_to_p``.
+    both clouds have at most _BRUTE_FORCE_MAX points, the one (p x g)
+    squared-distance block built here serves both directions: its rows for
+    ``p_to_g`` and its columns for ``g_to_p``. Otherwise each direction runs
+    on the kd-tree.
     """
 
     def __init__(self, p: PointCloud, g: PointCloud):
@@ -223,25 +206,19 @@ class Matching:
         self.p = p
         self.g = g
         self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = self._block = None
-
-    def _shared_block(self) -> np.ndarray | None:
-        if max(len(self.p), len(self.g)) > _BRUTE_FORCE_MAX:
-            return None
-        if self._block is None:
-            self._block = _row_sq_dists(self.p.points[:, None], self.g.points[None])
-        return self._block
+        if max(len(p), len(g)) <= _BRUTE_FORCE_MAX:
+            self._block = _row_sq_dists(p.points[:, None], g.points[None])
 
     @property
     def p_to_g(self) -> tuple[np.ndarray, np.ndarray]:
         if self._p_to_g is None:
-            self._p_to_g = nearest_neighbors(self.p.points, self.g, block=self._shared_block())
+            self._p_to_g = nearest_neighbors(self.p.points, self.g, block=self._block)
         return self._p_to_g
 
     @property
     def g_to_p(self) -> tuple[np.ndarray, np.ndarray]:
         if self._g_to_p is None:
-            block = self._shared_block()
-            block = None if block is None else block.T
+            block = None if self._block is None else self._block.T
             self._g_to_p = nearest_neighbors(self.g.points, self.p, block=block)
         return self._g_to_p
 

@@ -44,7 +44,7 @@ def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
             fh.write(" ".join(repr(float(c)) for c in row) + "\n")
 
 
-def _parse_ply_header(lines):
+def _parse_ply_header(path, lines):
     """Elements (name, count, properties) of the header; ``lines`` yields (number, text)."""
     magic = next(lines, (0, ""))[1].strip()
     if magic != "ply":
@@ -52,16 +52,24 @@ def _parse_ply_header(lines):
     fmt = None
     elements: list[tuple[str, int, list[str]]] = []
     while True:
-        _, line = next(lines, (0, ""))
+        lineno, line = next(lines, (0, ""))
         if not line:
             raise InvalidInputError("unexpected end of PLY header")
         tokens = line.strip().split()
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
+            if len(tokens) < 2:
+                raise _malformed(path, lineno, tokens, "header")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            elements.append((tokens[1], int(tokens[2]), []))
+            try:
+                count = int(tokens[2])
+            except (IndexError, ValueError):
+                count = -1
+            if count < 0:
+                raise _malformed(path, lineno, tokens, "header")
+            elements.append((tokens[1], count, []))
         elif tokens[0] == "property":
             if not elements:
                 raise InvalidInputError("PLY property before any element")
@@ -76,7 +84,7 @@ def _parse_ply_header(lines):
 def _read_ply_elements(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
-        elements = _parse_ply_header(lines)
+        elements = _parse_ply_header(path, lines)
         data: dict[str, list[tuple[int, list[str]]]] = {}  # name -> (line number, tokens)
         for name, count, _props in elements:
             rows = []

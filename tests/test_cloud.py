@@ -87,7 +87,7 @@ class TestNearest:
             nearest(idx, [0.0, 0.0])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("n", [10, 100], ids=["scan", "kd-tree"])
+    @pytest.mark.parametrize("n", [10, 100], ids=["small-tree", "kd-tree"])
     def test_non_finite_query_is_rejected(self, rng, n, value):
         idx = build_index(random_cloud(rng, n))
         with pytest.raises(InvalidInputError, match="NaN or infinite"):
@@ -96,7 +96,7 @@ class TestNearest:
             idx.query([0.0, value, 0.0])
 
     def test_matches_brute_force_on_random_clouds(self, rng):
-        # the exact-NN contract: index and distance equal the scan, bit for bit
+        # the exact-NN contract: index and distance equal a brute-force scan, bit for bit
         for _ in range(20):
             n = int(rng.integers(1, 240))
             cloud = random_cloud(rng, n)
@@ -128,8 +128,11 @@ class TestNearest:
         for dim, side in ((3, 7), (2, 18)):
             lattice = _lattice(side, dim)
             targets = (
-                random_cloud(rng, 30, dim).points,  # scan path
-                random_cloud(rng, 300, dim).points,  # tree path from here on
+                random_cloud(rng, 1, dim).points,  # every row ties with itself
+                lattice[:2],
+                random_cloud(rng, 30, dim).points,
+                lattice[:64],  # as small as a Matching's shared block, searched on the tree
+                random_cloud(rng, 300, dim).points,
                 lattice[:65],
                 lattice[:300],
                 np.concatenate([lattice[:40], lattice[:25]]),  # duplicated source points
@@ -145,9 +148,19 @@ class TestNearest:
                 for k, q in enumerate(queries):
                     assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
 
+    @pytest.mark.parametrize("n", [1, 30, 64])
+    def test_small_targets_without_block_run_on_the_tree(self, rng, block_shapes, n):
+        # only a Matching builds a (queries x target) block; a bare call
+        # makes the tree's row-wise _row_sq_dists calls and no 2-D block
+        queries, target = rng.random((50, 3)), random_cloud(rng, n)
+        idx, dist = nearest_neighbors(queries, target)
+        for k, q in enumerate(queries):
+            assert (idx[k], dist[k]) == brute_force_nearest(target.points, q)
+        assert block_shapes and all(len(shape) == 1 for shape in block_shapes)
+
     def test_tree_kernel_takes_one_and_two_point_targets(self, rng):
-        # the scan serves such targets, but the kernel must not ask for a
-        # second candidate that a 1-point tree does not have
+        # nearest_neighbors sends such targets here: the kernel must not ask
+        # for a second candidate that a 1-point tree does not have
         queries = rng.random((20, 3))
         for n in (1, 2):
             pts = rng.random((n, 3))
@@ -170,7 +183,7 @@ class TestNearest:
         def bits(a):
             return a.view(np.uint64)
 
-        block = _row_sq_dists(queries[:, None, :], points[None, :, :])  # the scan's shape
+        block = _row_sq_dists(queries[:, None, :], points[None, :, :])  # a Matching block
         assert block.shape == (70, 50)
         assert (bits(block) == bits(reduction(queries[:, None, :], points[None, :, :]))).all()
         # the reversed direction's block is the transpose, bit for bit

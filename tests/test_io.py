@@ -116,7 +116,18 @@ def test_read_ply_mesh_rejects_polygons(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row, short, line", [("1 0 0\n", "1 0\n", 11), ("3 0 1 2\n", "3 0 1\n", 14)], ids=["vertex", "face"]
+    "row, short, line",
+    [
+        ("1 0 0\n", "1 0\n", 11),
+        ("3 0 1 2\n", "3 0 1\n", 14),
+        ("format ascii 1.0\n", "format\n", 2),
+        ("element vertex 4\n", "element vertex\n", 3),
+        ("element vertex 4\n", "element vertex abc\n", 3),
+        ("element vertex 4\n", "element vertex -1\n", 3),
+        ("element face 3\n", "element\n", 7),
+    ],
+    ids=["vertex", "face", "header-format", "header-no-count", "header-count-abc",
+         "header-count-negative", "header-no-name"],
 )
 def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line):
     path = tmp_path / "short.ply"

@@ -60,10 +60,19 @@ def _runs() -> dict[str, list[str]]:
         "metrics-lattice-scan": [
             "metrics", "lattice4_p.xyz", "lattice4_g.xyz", "--out-dir", "report",
         ],
+        # 64 against 125 points: the 125 -> 64 direction searches a 64-point
+        # target on the kd-tree, with exact ties between up to 8 candidates
+        "metrics-lattice-mixed": [
+            "metrics", "lattice4_p.xyz", "lattice3_g.xyz", "--out-dir", "report",
+        ],
         # 200 height-field triangles against lattice points on their shared
         # vertices and edges and between them: kd-tree pruning and exact ties
         "metrics-mesh-lattice": [
             "metrics", "mesh_p.xyz", "mesh_g.xyz", "--mesh", "height.ply",
+        ],
+        # the mesh's header ends inside an element line that has no count
+        "metrics-ply-truncated-header": [
+            "metrics", "pred.xyz", "gt.xyz", "--mesh", "truncated.ply",
         ],
         # argparse rejects --c as ambiguous here: metrics has --csv and --config
         "metrics-c-prefix": ["metrics", "pred.xyz", "gt.xyz", "--c", "x.csv"],
@@ -97,8 +106,8 @@ def _runs() -> dict[str, list[str]]:
     }
     for name, flags in optimize.items():
         runs[f"optimize-{name}"] = [*BENCH, *flags, "--out-dir", "run"]
-    # 40 init points match 80 targets on the kd-tree, 80 targets match 40
-    # init points on the scan: both paths meet in one matching every step
+    # 40 init points against 80 targets: more than 64 points on one side, so
+    # both directions of every step's matching search the kd-tree
     runs["optimize-small-init-big-target"] = [
         "optimize", "--init", "pred.xyz", "--target", "c.xyz", "--steps", "300", "--out-dir", "run",
     ]
@@ -167,6 +176,7 @@ def _write_inputs(root: Path) -> None:
         "lattice4_p.xyz": _lattice(4, 3, 0),
         "lattice4_g.xyz": _lattice(4, 3, 1),
         "height.ply": _height_mesh(11),
+        "truncated.ply": "ply\nformat ascii 1.0\nelement vertex",
         "mesh_p.xyz": _height_lattice(22, 0),
         "mesh_g.xyz": _height_lattice(22, 3),
     }
