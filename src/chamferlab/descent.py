@@ -11,6 +11,7 @@ import numpy as np
 from .cloud import Matching, PointCloud, subsample
 from .errors import DivergenceError, InvalidInputError
 from .metrics import EMD_EXACT_MAX, cd_global, cd_local, chamfer_l1, dcd, emd_exact
+from .metrics import _check_positive, _check_r
 from .objective import (
     FcdWeights,
     ScheduleSpec,
@@ -40,8 +41,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
-        if not 0 < self.step_size < math.inf:
-            raise InvalidInputError(f"step_size must be positive and finite, got {self.step_size}")
+        _check_positive("step_size", self.step_size)
         if self.update_rule not in ("plain", "momentum"):
             raise InvalidInputError(f"unknown update rule {self.update_rule!r}")
         if not 0.0 <= self.momentum_coeff < 1.0:
@@ -68,22 +68,19 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
             raise InvalidInputError(f"unknown objective kind {self.kind!r}")
-        if self.r not in (1, 2):
-            raise InvalidInputError(f"distance order r must be 1 or 2, got {self.r}")
-        if not 0 < self.dcd_temperature < math.inf:
-            raise InvalidInputError(
-                f"dcd_temperature must be positive and finite, got {self.dcd_temperature}"
-            )
+        _check_r(self.r)
+        _check_positive("dcd_temperature", self.dcd_temperature)
 
     def resolved(self) -> tuple[FcdWeights | None, int]:
-        """Fixed (weights, r) for this objective, or (None, r) when scheduled."""
-        if self.kind == "cd-l1":
-            return FcdWeights(0.5, 0.5), 1
-        if self.kind == "cd-l2":
-            return FcdWeights(1.0, 1.0), 2
+        """Fixed (weights, r) for this objective, or (None, r) for a scheduled fcd.
+
+        dcd-loss gets (1/2, 1/2), the weights its two directional terms carry.
+        """
         if self.kind == "fcd":
             return self.weights, self.r
-        return None, 1  # dcd-loss
+        if self.kind == "cd-l2":
+            return FcdWeights(1.0, 1.0), 2
+        return FcdWeights(0.5, 0.5), 1  # cd-l1 and dcd-loss
 
 
 @dataclass(frozen=True)
@@ -177,52 +174,48 @@ def _snapshot_emd(p: PointCloud, target: PointCloud, seed: int) -> float:
 
 
 class _Loss:
-    """Objective value / gradient / weight resolution for one optimization run."""
+    """One stage's objective: its value, gradient and weights at an epoch.
+
+    The weights are the objective's fixed ones (``ObjectiveSpec.resolved``),
+    or, under a schedule, the schedule's at the epoch clamped to T. Only fcd
+    takes a schedule; the uncertainty kind adds a state that the descent
+    loop updates.
+    """
 
     def __init__(self, objective: ObjectiveSpec, schedule: ScheduleSpec | None):
         self.objective = objective
         self.schedule = schedule
         self.state: UncertaintyState | None = None
-        fixed_weights, self.r = objective.resolved()
-        if objective.kind == "fcd":
-            if schedule is None and fixed_weights is None:
-                raise InvalidInputError("fcd objective needs explicit weights or a schedule")
-            if schedule is not None and schedule.kind == "uncertainty":
-                self.state = UncertaintyState.initial(schedule.tau, schedule.theta)
-        elif schedule is not None:
+        self.weights, self.r = objective.resolved()
+        if schedule is not None and objective.kind != "fcd":
             raise InvalidInputError(f"objective kind {objective.kind!r} does not take a schedule")
-        self.fixed_weights = fixed_weights
-
-    def weights_at(self, epoch: int) -> FcdWeights:
-        if self.objective.kind == "dcd-loss":
-            return FcdWeights(0.5, 0.5)  # the two directional terms carry 1/2 each
-        if self.objective.kind == "fcd" and self.schedule is not None:
-            clamped = min(epoch, self.schedule.T)
-            return schedule_weights(self.schedule, clamped, self.state)
-        return self.fixed_weights
+        if schedule is None and self.weights is None:
+            raise InvalidInputError("fcd objective needs explicit weights or a schedule")
+        if schedule is not None and schedule.kind == "uncertainty":
+            self.state = UncertaintyState.initial(schedule.tau, schedule.theta)
 
     def value_grad(self, m: Matching, epoch: int):
         """Returns (objective, gradient at m.p, weights, state gradient or None)."""
         p, target = m.p, m.g
-        weights = self.weights_at(epoch)
+        weights = self.weights
+        if self.schedule is not None:
+            weights = schedule_weights(self.schedule, min(epoch, self.schedule.T), self.state)
         if self.objective.kind == "dcd-loss":
             temp = self.objective.dcd_temperature
             value = dcd(p, target, temp, matching=m)
             return value, dcd_gradient(p, target, temp, matching=m), weights, None
+        state_grad = None
         if self.state is not None:
             local = cd_local(p, target, self.r, matching=m)
             glob = cd_global(p, target, self.r, matching=m)
-            total, state_grad = uncertainty_loss(local, glob, self.state)
-            grad = fcd_gradient(p, target, weights, self.r, matching=m)
-            return total, grad, weights, state_grad
-        value = fcd(p, target, weights, self.r, matching=m)
-        return value, fcd_gradient(p, target, weights, self.r, matching=m), weights, None
+            value, state_grad = uncertainty_loss(local, glob, self.state)
+        else:
+            value = fcd(p, target, weights, self.r, matching=m)
+        return value, fcd_gradient(p, target, weights, self.r, matching=m), weights, state_grad
 
 
 class _FreePoints:
     """Parameter rows that are the fine cloud itself; pinned rows stay frozen."""
-
-    coarse_stages: tuple = ()
 
     def __init__(self, init: PointCloud, frozen: np.ndarray):
         self.start = init.points
@@ -239,16 +232,13 @@ class _Skeleton:
     """Parameter rows [coarse points; child offsets]: stage clouds coarse, then fine.
 
     The fine cloud repeats each coarse point once per child and adds the
-    child's offset. The coarse stage is scored against ``coarse_target`` with
-    static weights; frozen offsets form one block of frozen rows.
+    child's offset; frozen offsets form one block of frozen rows.
     """
 
-    def __init__(self, coarse: np.ndarray, offsets: np.ndarray, coarse_target: PointCloud,
-                 coarse_weights: FcdWeights, freeze_offsets: bool):
+    def __init__(self, coarse: np.ndarray, offsets: np.ndarray, freeze_offsets: bool):
         self.start = np.concatenate([coarse, offsets])
         self.count = len(coarse)
         self.children = len(offsets) // len(coarse)
-        self.coarse_stages = ((coarse_target, coarse_weights),)
         rows = np.arange(len(self.start))
         self.frozen = rows[self.count:] if freeze_offsets else rows[:0]
 
@@ -268,17 +258,21 @@ def _radius_sq(points: np.ndarray, center: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", diff, diff).max())
 
 
-def _descend(param: _FreePoints | _Skeleton, target: PointCloud, loss: _Loss,
+def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Loss]],
              config: OptimizerConfig) -> tuple[list[PointCloud], OptimizationTrace]:
     """The descent loop: evaluates config.steps + 1 parameter states, steps between them.
 
-    Each evaluation builds one cloud and one matching per stage. Coarse stages
-    add their static fcd; the last (fine) stage is scored by ``loss`` and
-    feeds the trace snapshot. Returns the stage clouds of the last evaluation.
+    ``stages`` holds one (target, loss) pair per cloud of ``param.clouds``,
+    the fine stage last. Each evaluation matches every stage cloud with its
+    target once and sums the stage values; ``param.chain`` sums the stage
+    gradients onto the parameters. The fine stage's matching, weights and
+    state gradient feed the trace snapshot and the uncertainty update.
+    Returns the stage clouds of the last evaluation.
     """
     theta = param.start.copy()
     velocity = np.zeros_like(theta)
     records: list[TraceRecord] = []
+    target, loss = stages[-1]
     center = target.points.mean(axis=0)
     reach_sq = None
     for step in range(config.steps + 1):
@@ -292,18 +286,16 @@ def _descend(param: _FreePoints | _Skeleton, target: PointCloud, loss: _Loss,
                 f"{DIVERGENCE_FACTOR:.0e} x the radius of init and target, at step {step}"
             )
         value, grads = 0.0, []
-        for cloud, (stage_target, weights) in zip(clouds, param.coarse_stages):
+        for cloud, (stage_target, stage_loss) in zip(clouds, stages):
             m = Matching(cloud, stage_target)
-            value += fcd(cloud, stage_target, weights, loss.r, matching=m)
-            grads.append(fcd_gradient(cloud, stage_target, weights, loss.r, matching=m))
-        fine = Matching(clouds[-1], target)
-        fine_value, fine_grad, weights, state_grad = loss.value_grad(fine, step)
-        value += fine_value
-        grad = param.chain(grads + [fine_grad])
+            stage_value, stage_grad, weights, state_grad = stage_loss.value_grad(m, step)
+            value += stage_value
+            grads.append(stage_grad)
+        grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
         if not np.isfinite(value):
             raise DivergenceError(f"objective became non-finite at step {step}")
         if step % config.record_every == 0 or step == config.steps:
-            records.append(_snapshot(step, value, weights, grad, fine, config.seed))
+            records.append(_snapshot(step, value, weights, grad, m, config.seed))
         if step == config.steps:
             return clouds, OptimizationTrace(records)
 
@@ -342,8 +334,8 @@ def optimize(
     if init.dim != target.dim:
         raise InvalidInputError(f"dimension mismatch: {init.dim} vs {target.dim}")
     pin_idx = support_pinning(init, pinned) if pinned is not None else np.empty(0, dtype=np.intp)
-    loss = _Loss(objective, schedule)
-    (final,), trace = _descend(_FreePoints(init, pin_idx), target, loss, config)
+    stages = [(target, _Loss(objective, schedule))]
+    (final,), trace = _descend(_FreePoints(init, pin_idx), stages, config)
     return final, trace
 
 
@@ -376,10 +368,10 @@ def optimize_hierarchical(
     coarse_target = subsample(target, hierarchy.coarse_count, "farthest-point", config.seed)
     rng = np.random.default_rng(config.seed)
     offsets = hierarchy.offset_scale * rng.standard_normal((hierarchy.fine_count, init_coarse.dim))
-    param = _Skeleton(init_coarse.points, offsets, coarse_target,
-                      FcdWeights(schedule.tau, schedule.theta), freeze_offsets)
-    loss = _Loss(ObjectiveSpec("fcd", r=r), schedule)
-    (coarse, fine), trace = _descend(param, target, loss, config)
+    coarse_loss = _Loss(ObjectiveSpec("fcd", FcdWeights(schedule.tau, schedule.theta), r), None)
+    stages = [(coarse_target, coarse_loss), (target, _Loss(ObjectiveSpec("fcd", r=r), schedule))]
+    param = _Skeleton(init_coarse.points, offsets, freeze_offsets)
+    (coarse, fine), trace = _descend(param, stages, config)
     return fine, coarse, trace
 
 

@@ -46,22 +46,21 @@ def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
 
 def _parse_ply_header(path, lines):
     """Elements (name, count, properties) of the header; ``lines`` yields (number, text)."""
-    magic = next(lines, (0, ""))[1].strip()
-    if magic != "ply":
-        raise InvalidInputError("not a PLY file (missing 'ply' magic)")
-    fmt = None
+    if next(lines, (0, ""))[1].strip() != "ply":
+        raise InvalidInputError(f"{path}:1: not a PLY file (missing 'ply' magic)")
+    fmt, fmt_lineno = None, 0
     elements: list[tuple[str, int, list[str]]] = []
     while True:
         lineno, line = next(lines, (0, ""))
         if not line:
-            raise InvalidInputError("unexpected end of PLY header")
+            raise InvalidInputError(f"{path}: unexpected end of PLY header")
         tokens = line.strip().split()
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
             if len(tokens) < 2:
                 raise _malformed(path, lineno, tokens, "header")
-            fmt = tokens[1]
+            fmt, fmt_lineno = tokens[1], lineno
         elif tokens[0] == "element":
             try:
                 count = int(tokens[2])
@@ -72,12 +71,13 @@ def _parse_ply_header(path, lines):
             elements.append((tokens[1], count, []))
         elif tokens[0] == "property":
             if not elements:
-                raise InvalidInputError("PLY property before any element")
+                raise InvalidInputError(f"{path}:{lineno}: PLY property before any element")
             elements[-1][2].append(tokens[-1])
         elif tokens[0] == "end_header":
             break
     if fmt != "ascii":
-        raise InvalidInputError(f"only ASCII PLY is supported, got format {fmt!r}")
+        where = f"{path}:{fmt_lineno}:" if fmt_lineno else f"{path}:"  # no format line
+        raise InvalidInputError(f"{where} only ASCII PLY is supported, got format {fmt!r}")
     return elements
 
 

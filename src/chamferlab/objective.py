@@ -62,8 +62,7 @@ class ScheduleSpec:
             raise InvalidInputError(f"theta must be finite, got {self.theta}")
         if not 0 < self.t < self.T:
             raise InvalidInputError(f"need 0 < t < T, got t={self.t}, T={self.T}")
-        if not 0 < self.sigma < math.inf:
-            raise InvalidInputError(f"sigma must be positive and finite, got {self.sigma}")
+        _check_positive("sigma", self.sigma)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -168,6 +168,28 @@ class TestNearest:
             for k, q in enumerate(queries):
                 assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
 
+    def test_one_point_target_makes_no_ball_query(self, rng):
+        # a 1-point target's one candidate is the answer: there is no tie to
+        # settle, while a 2-point target's exact tie still takes the ball query
+        class RecordingTree:
+            def __init__(self, pts):
+                self.tree, self.ball_rows = cKDTree(pts), []
+
+            def query(self, *args, **kwargs):
+                return self.tree.query(*args, **kwargs)
+
+            def query_ball_point(self, queries, *args, **kwargs):
+                self.ball_rows.append(len(queries))
+                return self.tree.query_ball_point(queries, *args, **kwargs)
+
+        queries = np.concatenate([rng.random((200, 3)), [[0.5, 0.0, 0.0]]])
+        pair = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # ties at the last query
+        for pts, ball_rows in ((rng.random((1, 3)), []), (pair, [1])):
+            tree = RecordingTree(pts)
+            idx, dist = _nearest_tree(tree, pts, queries)
+            assert tree.ball_rows == ball_rows
+            for k, q in enumerate(queries):
+                assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])

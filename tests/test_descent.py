@@ -223,6 +223,38 @@ def test_uncertainty_schedule_adapts_weights(rng):
     assert (last.alpha, last.beta) != (first.alpha, first.beta)
 
 
+@pytest.mark.parametrize("kind", ["cd-l1", "dcd-loss"])
+def test_only_fcd_takes_a_schedule(rng, kind):
+    init, target = random_cloud(rng, 6), random_cloud(rng, 6)
+    config = OptimizerConfig(steps=2, step_size=1e-3)
+    with pytest.raises(InvalidInputError, match="does not take a schedule"):
+        optimize(init, target, ObjectiveSpec(kind), config, schedule=ScheduleSpec("static"))
+
+
+def test_fcd_without_weights_or_schedule_is_rejected(rng):
+    init, target = random_cloud(rng, 6), random_cloud(rng, 6)
+    config = OptimizerConfig(steps=2, step_size=1e-3)
+    with pytest.raises(InvalidInputError, match="needs explicit weights"):
+        optimize(init, target, ObjectiveSpec("fcd"), config)
+
+
+@pytest.mark.parametrize(
+    "objective, weights",
+    [
+        (ObjectiveSpec("cd-l1"), (0.5, 0.5)),
+        (ObjectiveSpec("cd-l2"), (1.0, 1.0)),
+        (ObjectiveSpec("fcd", FcdWeights(1.0, 2.0)), (1.0, 2.0)),
+        (ObjectiveSpec("dcd-loss"), (0.5, 0.5)),
+    ],
+    ids=["cd-l1", "cd-l2", "fcd", "dcd-loss"],
+)
+def test_trace_reports_each_objectives_fixed_weights(rng, objective, weights):
+    init, target = random_cloud(rng, 6), random_cloud(rng, 6)
+    config = OptimizerConfig(steps=4, step_size=1e-3, record_every=2)
+    _, trace = optimize(init, target, objective, config)
+    assert [(rec.alpha, rec.beta) for rec in trace.records] == [weights] * 3
+
+
 def test_trace_csv_layout(rng):
     init, target = random_cloud(rng, 6), random_cloud(rng, 6)
     config = OptimizerConfig(steps=10, step_size=1e-3, record_every=3)

@@ -140,6 +140,33 @@ def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line):
     assert f"short.ply:{line}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("PLY\nformat ascii 1.0\nend_header\n", ":1:", "not a PLY file (missing 'ply' magic)"),
+        ("", ":1:", "not a PLY file (missing 'ply' magic)"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\n", ":", "unexpected end of PLY header"),
+        ("ply\nformat ascii 1.0\nproperty float x\nend_header\n", ":3:",
+         "PLY property before any element"),
+        ("ply\ncomment x\nformat binary_little_endian 1.0\nend_header\n", ":3:",
+         "only ASCII PLY is supported, got format 'binary_little_endian'"),
+        ("ply\nelement vertex 0\nend_header\n", ":", "only ASCII PLY is supported, got format None"),
+    ],
+    ids=["magic", "magic-empty-file", "end-of-header", "property-first", "binary", "no-format"],
+)
+def test_ply_header_errors_name_the_file(tmp_path, capsys, text, where, message):
+    path = tmp_path / "bad.ply"
+    path.write_text(text)
+    expected = f"{path}{where} {message}"
+    with pytest.raises(InvalidInputError) as err:
+        read_ply_mesh(path)
+    assert str(err.value) == expected
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text("0 0 0\n")
+    assert main(["metrics", str(cloud), str(cloud), "--mesh", str(path)]) == 3
+    assert f"error: {expected}" in capsys.readouterr().err
+
+
 def test_read_cloud_dispatches_on_extension(tmp_path):
     ply = tmp_path / "c.ply"
     ply.write_text(PLY_CLOUD)

@@ -74,6 +74,11 @@ def _runs() -> dict[str, list[str]]:
         "metrics-ply-truncated-header": [
             "metrics", "pred.xyz", "gt.xyz", "--mesh", "truncated.ply",
         ],
+        # a binary PLY mesh is rejected at its format line
+        "metrics-ply-binary": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "binary.ply"],
+        # a 1-point pred against 80 points: the 80 -> 1 direction searches a
+        # 1-point kd-tree, where no query can tie
+        "metrics-one-point-pred": ["metrics", "one.xyz", "c.xyz", "--out-dir", "report"],
         # argparse rejects --c as ambiguous here: metrics has --csv and --config
         "metrics-c-prefix": ["metrics", "pred.xyz", "gt.xyz", "--c", "x.csv"],
     }
@@ -103,6 +108,9 @@ def _runs() -> dict[str, list[str]]:
         "pinned-linear": ["--pin", "0,5,9,33", "--schedule", "linear"],
         "record-every-1": ["--record-every", "1"],
         "r2-stair": ["--r", "2", "--schedule", "stair"],
+        # only fcd takes a schedule
+        "dcd-loss-linear": ["--objective", "dcd-loss", "--schedule", "linear"],
+        "cd-l1-static": ["--objective", "cd-l1", "--schedule", "static"],
     }
     for name, flags in optimize.items():
         runs[f"optimize-{name}"] = [*BENCH, *flags, "--out-dir", "run"]
@@ -177,6 +185,8 @@ def _write_inputs(root: Path) -> None:
         "lattice4_g.xyz": _lattice(4, 3, 1),
         "height.ply": _height_mesh(11),
         "truncated.ply": "ply\nformat ascii 1.0\nelement vertex",
+        "binary.ply": "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n",
+        "one.xyz": "0.25 0.5 0.75\n",
         "mesh_p.xyz": _height_lattice(22, 0),
         "mesh_g.xyz": _height_lattice(22, 3),
     }
