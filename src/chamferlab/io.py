@@ -16,25 +16,44 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     One point per line; lines starting with ``#`` are comments; blank lines
     are ignored. Dimension (2 or 3) is inferred from the first point.
     """
-    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: not a coordinate line: {stripped!r}") from exc
-            if rows and len(row) != len(rows[0]):
-                raise InvalidInputError(
-                    f"{path}:{lineno}: expected {len(rows[0])} coordinates, got {len(row)}"
-                )
-            rows.append(row)
+        rows = [(lineno, tokens) for lineno, line in enumerate(fh, start=1)
+                if (tokens := line.split()) and not tokens[0].startswith("#")]
+    points = _coordinate_rows(path, rows, "coordinate")
+    try:
+        return PointCloud(points)
+    except InvalidInputError as exc:  # a width other than 2 or 3
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _coordinate_rows(path, rows: list[tuple[int, list[str]]], what: str) -> np.ndarray:
+    """The (n, width) float64 array of ``rows``, pairs of (line number, tokens).
+
+    A valid file takes one whole-array conversion. Only when that fails, or
+    finds a ragged shape or a non-finite value, does a row-by-row pass run to
+    name ``path:line`` of the first non-numeric, wrong-width or non-finite row.
+    """
     if not rows:
         raise InvalidInputError(f"{path}: no points found")
-    return PointCloud(np.asarray(rows, dtype=np.float64))
+    try:
+        points = np.array([tokens for _, tokens in rows], dtype=np.float64)
+        if np.isfinite(points).all():
+            return points
+    except ValueError:  # a non-numeric token or a ragged row
+        pass
+    width = len(rows[0][1])
+    for lineno, tokens in rows:
+        try:
+            finite = np.isfinite(np.array(tokens, dtype=np.float64)).all()
+        except ValueError:
+            raise _malformed(path, lineno, tokens, what) from None
+        if len(tokens) != width:
+            raise InvalidInputError(
+                f"{path}:{lineno}: expected {width} coordinates, got {len(tokens)}"
+            )
+        if not finite:
+            raise InvalidInputError(f"{path}:{lineno}: non-finite {what} row: {' '.join(tokens)!r}")
+    raise AssertionError("the whole-array conversion failed on rows that all convert")
 
 
 def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
@@ -102,20 +121,20 @@ def _malformed(path, lineno: int, row: list[str], what: str) -> InvalidInputErro
 
 
 def _vertex_array(elements, data, path) -> np.ndarray:
-    for name, count, props in elements:
+    for name, _count, props in elements:
         if name != "vertex":
             continue
         try:
             ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
         except ValueError as exc:
             raise InvalidInputError(f"{path}: vertex element lacks x/y/z properties") from exc
-        verts = np.empty((count, 3), dtype=np.float64)
-        for i, (lineno, row) in enumerate(data[name]):
-            try:
-                verts[i] = (float(row[ix]), float(row[iy]), float(row[iz]))
-            except (IndexError, ValueError) as exc:
-                raise _malformed(path, lineno, row, "vertex") from exc
-        return verts
+        width = max(ix, iy, iz) + 1
+        rows = []
+        for lineno, row in data[name]:
+            if len(row) < width:
+                raise _malformed(path, lineno, row, "vertex")
+            rows.append((lineno, [row[ix], row[iy], row[iz]]))
+        return _coordinate_rows(path, rows, "vertex")
     raise InvalidInputError(f"{path}: PLY file has no vertex element")
 
 

@@ -1,5 +1,5 @@
 """Weighted Chamfer objective: value, analytic gradients, weight schedules,
-uncertainty-based weighting, and multi-stage loss composition."""
+and uncertainty-based weighting."""
 
 from __future__ import annotations
 
@@ -205,33 +205,3 @@ def uncertainty_loss(
     grad_local = -w_local * local_loss + 1.0
     grad_global = -w_global * global_loss + 1.0
     return total, (grad_local, grad_global)
-
-
-@dataclass(frozen=True)
-class StageLossSpec:
-    """Predicted/target cloud pairs for the coarse stages plus the fine stage."""
-
-    coarse_pairs: tuple[tuple[PointCloud, PointCloud], ...]
-    fine_pair: tuple[PointCloud, PointCloud]
-    epoch: int
-
-
-def multi_stage_loss(
-    spec: StageLossSpec,
-    schedule: ScheduleSpec,
-    r: int = 1,
-    state: UncertaintyState | None = None,
-) -> float:
-    """Sum of stage losses: coarse stages at fixed (tau, theta), fine stage scheduled.
-
-    The coarse stages always use the static weight pair regardless of the fine
-    schedule; with no coarse pairs this reduces to the fine loss alone.
-    """
-    coarse_weights = FcdWeights(alpha=schedule.tau, beta=schedule.theta)
-    total = 0.0
-    for pred, target in spec.coarse_pairs:
-        total += fcd(pred, target, coarse_weights, r)
-    fine_weights = schedule_weights(schedule, spec.epoch, state)
-    pred, target = spec.fine_pair
-    total += fcd(pred, target, fine_weights, r)
-    return total

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from chamferlab import PointCloud, cloud
+from chamferlab import (
+    FcdWeights,
+    PointCloud,
+    ScheduleSpec,
+    UncertaintyState,
+    cloud,
+    fcd,
+    schedule_weights,
+)
 
 
 def brute_force_nearest(points: np.ndarray, q: np.ndarray) -> tuple[int, float]:
@@ -14,6 +23,36 @@ def brute_force_nearest(points: np.ndarray, q: np.ndarray) -> tuple[int, float]:
     sq = (diff * diff).sum(axis=1)
     i = int(np.argmin(sq))
     return i, float(np.sqrt(sq[i]))
+
+
+@dataclass(frozen=True)
+class StageLossSpec:
+    """Predicted/target cloud pairs for the coarse stages plus the fine stage."""
+
+    coarse_pairs: tuple[tuple[PointCloud, PointCloud], ...]
+    fine_pair: tuple[PointCloud, PointCloud]
+    epoch: int
+
+
+def multi_stage_loss(
+    spec: StageLossSpec,
+    schedule: ScheduleSpec,
+    r: int = 1,
+    state: UncertaintyState | None = None,
+) -> float:
+    """Sum of stage losses: coarse stages at fixed (tau, theta), fine stage scheduled.
+
+    The coarse stages always use the static weight pair regardless of the fine
+    schedule; with no coarse pairs this reduces to the fine loss alone.
+    """
+    coarse_weights = FcdWeights(alpha=schedule.tau, beta=schedule.theta)
+    total = 0.0
+    for pred, target in spec.coarse_pairs:
+        total += fcd(pred, target, coarse_weights, r)
+    fine_weights = schedule_weights(schedule, spec.epoch, state)
+    pred, target = spec.fine_pair
+    total += fcd(pred, target, fine_weights, r)
+    return total
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from chamferlab import (
     OptimizerConfig,
     PointCloud,
     ScheduleSpec,
-    StageLossSpec,
     UncertaintyState,
     cd_global,
     cd_local,
@@ -21,7 +20,6 @@ from chamferlab import (
     dcd,
     fcd,
     fcd_gradient,
-    multi_stage_loss,
     optimize,
     optimize_hierarchical,
     subsample,
@@ -32,7 +30,7 @@ from chamferlab import schedule_weights as schedule_weights_fn
 from chamferlab.cloud import nearest_neighbors
 from chamferlab.descent import _Loss
 
-from conftest import random_cloud
+from conftest import StageLossSpec, multi_stage_loss, random_cloud
 
 G_STALE = PointCloud([[0.0, 0.0], [4.0, 0.0]])
 P_STALE = PointCloud([[0.5, 0.0], [1.0, 0.0]])

@@ -46,6 +46,14 @@ def test_xyz_round_trip(tmp_path, rng):
     path = tmp_path / "cloud.xyz"
     write_xyz(path, cloud)
     assert read_xyz(path) == cloud
+    # edge tokens read exactly as float() reads them: subnormals, signed zero,
+    # digit separator, explicit plus sign, and an underflow to zero
+    edge = ["1e-320", "-0", "1_0", "+1.5", "-1e-320", "0.1e-400"]
+    with path.open("a") as fh:
+        fh.write(" ".join(edge[:3]) + "\n" + " ".join(edge[3:]) + "\n")
+    points = read_xyz(path).points
+    assert points[:37].tobytes() == cloud.points.tobytes()
+    assert points[37:].tobytes() == np.array([float(t) for t in edge]).reshape(2, 3).tobytes()
 
 
 def test_xyz_round_trip_2d(tmp_path, rng):
@@ -65,15 +73,16 @@ def test_xyz_comments_and_blank_lines(tmp_path):
 def test_xyz_rejects_ragged_rows(tmp_path):
     path = tmp_path / "bad.xyz"
     path.write_text("0 0 0\n1 2\n")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="bad.xyz:2: expected 3 coordinates, got 2"):
         read_xyz(path)
 
 
 def test_xyz_rejects_non_numeric(tmp_path):
     path = tmp_path / "bad.xyz"
-    path.write_text("0 zero 0\n")
-    with pytest.raises(InvalidInputError):
-        read_xyz(path)
+    for token in ("zero", "0x10", "1__0"):
+        path.write_text(f"# comment\n0 {token} 0\n")
+        with pytest.raises(InvalidInputError, match="bad.xyz:2: malformed coordinate row"):
+            read_xyz(path)
 
 
 def test_xyz_rejects_empty_file(tmp_path):
@@ -116,23 +125,26 @@ def test_read_ply_mesh_rejects_polygons(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row, short, line",
+    "row, short, line, problem",
     [
-        ("1 0 0\n", "1 0\n", 11),
-        ("3 0 1 2\n", "3 0 1\n", 14),
-        ("format ascii 1.0\n", "format\n", 2),
-        ("element vertex 4\n", "element vertex\n", 3),
-        ("element vertex 4\n", "element vertex abc\n", 3),
-        ("element vertex 4\n", "element vertex -1\n", 3),
-        ("element face 3\n", "element\n", 7),
+        ("1 0 0\n", "1 0\n", 11, "malformed"),
+        ("3 0 1 2\n", "3 0 1\n", 14, "malformed"),
+        ("format ascii 1.0\n", "format\n", 2, "malformed"),
+        ("element vertex 4\n", "element vertex\n", 3, "malformed"),
+        ("element vertex 4\n", "element vertex abc\n", 3, "malformed"),
+        ("element vertex 4\n", "element vertex -1\n", 3, "malformed"),
+        ("element face 3\n", "element\n", 7, "malformed"),
+        # every face uses vertex 1: a NaN there must not read as degenerate faces
+        ("1 0 0\n", "1 0 nan\n", 11, "non-finite"),
+        ("0 1 0\n", "0 one 0\n", 12, "malformed"),
     ],
     ids=["vertex", "face", "header-format", "header-no-count", "header-count-abc",
-         "header-count-negative", "header-no-name"],
+         "header-count-negative", "header-no-name", "vertex-nan", "vertex-non-numeric"],
 )
-def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line):
+def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line, problem):
     path = tmp_path / "short.ply"
     path.write_text(PLY_MESH.replace(row, short, 1))
-    with pytest.raises(InvalidInputError, match=f"short.ply:{line}: malformed"):
+    with pytest.raises(InvalidInputError, match=f"short.ply:{line}: {problem}"):
         read_ply_mesh(path)
     cloud = tmp_path / "c.xyz"
     cloud.write_text("0 0 0\n")
@@ -164,6 +176,31 @@ def test_ply_header_errors_name_the_file(tmp_path, capsys, text, where, message)
     cloud = tmp_path / "c.xyz"
     cloud.write_text("0 0 0\n")
     assert main(["metrics", str(cloud), str(cloud), "--mesh", str(path)]) == 3
+    assert f"error: {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("n.xyz", "0 0 0\n\nnan 1 2\n1 1 1\n", ":3: non-finite coordinate row: 'nan 1 2'"),
+        ("n.xyz", "0 0 0\n\n1 1e999 2\n", ":3: non-finite coordinate row: '1 1e999 2'"),
+        ("n.xyz", "0 0 0\n\n0 0 -inf\n", ":3: non-finite coordinate row: '0 0 -inf'"),
+        ("n.ply", PLY_CLOUD.replace("1.5 0 0", "1.5 nan 0"),
+         ":10: non-finite vertex row: '1.5 nan 0'"),
+        ("wide.xyz", "0 0 0 0\n1 1 1 1\n", ": points must be 2- or 3-dimensional, got dim 4"),
+        ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
+         "property float y\nproperty float z\nend_header\n", ": no points found"),
+    ],
+    ids=["xyz-nan", "xyz-1e999", "xyz-minus-inf", "ply-nan", "xyz-4-columns", "ply-no-vertices"],
+)
+def test_read_cloud_errors_name_the_file(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    expected = f"{path}{message}"
+    with pytest.raises(InvalidInputError) as err:
+        read_cloud(path)
+    assert str(err.value) == expected
+    assert main(["metrics", str(path), str(path)]) == 3
     assert f"error: {expected}" in capsys.readouterr().err
 
 

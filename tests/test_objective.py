@@ -10,20 +10,18 @@ from chamferlab import (
     InvalidInputError,
     PointCloud,
     ScheduleSpec,
-    StageLossSpec,
     UncertaintyState,
     chamfer_l1,
     chamfer_l2,
     fcd,
     fcd_gradient,
-    multi_stage_loss,
     schedule_weights,
     uncertainty_loss,
 )
 from chamferlab.objective import _direction, dcd_gradient
 from chamferlab import dcd as dcd_metric
 
-from conftest import random_cloud
+from conftest import StageLossSpec, multi_stage_loss, random_cloud
 
 P2 = PointCloud([[0.5, 0.0], [1.0, 0.0]])
 G2 = PointCloud([[0.0, 0.0], [4.0, 0.0]])

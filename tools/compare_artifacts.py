@@ -81,6 +81,17 @@ def _runs() -> dict[str, list[str]]:
         "metrics-one-point-pred": ["metrics", "one.xyz", "c.xyz", "--out-dir", "report"],
         # argparse rejects --c as ambiguous here: metrics has --csv and --config
         "metrics-c-prefix": ["metrics", "pred.xyz", "gt.xyz", "--c", "x.csv"],
+        # comments and blank lines between the rows of a valid cloud
+        "metrics-xyz-comments": ["metrics", "commented.xyz", "gt.xyz", "--out-dir", "report"],
+        # coordinate rows that the reader rejects, each at its file and line
+        "metrics-xyz-non-numeric": ["metrics", "word.xyz", "gt.xyz"],
+        "metrics-xyz-ragged": ["metrics", "ragged.xyz", "gt.xyz"],
+        "metrics-xyz-nan": ["metrics", "nan.xyz", "gt.xyz"],
+        "metrics-ply-mesh-nan-vertex": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "nan_mesh.ply"],
+        "metrics-ply-cloud-nan-vertex": ["metrics", "nan_cloud.ply", "gt.xyz"],
+        # whole files that the reader rejects, by name
+        "metrics-xyz-4-columns": ["metrics", "wide.xyz", "gt.xyz"],
+        "metrics-ply-no-vertices": ["metrics", "empty.ply", "gt.xyz"],
     }
     for kind in SCHEDULE_KINDS:
         runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
@@ -136,6 +147,15 @@ def _lattice(side: int, dim: int, shift: int) -> str:
     )
 
 
+def _ply(verts: list[str], faces: list[str]) -> str:
+    """ASCII PLY with x/y/z vertex rows and, if there are any, triangle rows."""
+    header = f"ply\nformat ascii 1.0\nelement vertex {len(verts)}\n"
+    header += "property float x\nproperty float y\nproperty float z\n"
+    if faces:
+        header += f"element face {len(faces)}\nproperty list uchar int vertex_indices\n"
+    return header + "end_header\n" + "".join(row + "\n" for row in verts + faces)
+
+
 def _height_mesh(side: int) -> str:
     """ASCII PLY of a (side-1)^2-quad height field on the 1/8 grid, heights k/16."""
     verts = [(i / 8, j / 8, (i * j % 5) / 16) for i in range(side) for j in range(side)]
@@ -144,13 +164,8 @@ def _height_mesh(side: int) -> str:
         for j in range(side - 1):
             a, b = i * side + j, (i + 1) * side + j
             faces += [(a, b, b + 1), (a, b + 1, a + 1)]
-    header = (
-        f"ply\nformat ascii 1.0\nelement vertex {len(verts)}\nproperty float x\n"
-        f"property float y\nproperty float z\nelement face {len(faces)}\n"
-        "property list uchar int vertex_indices\nend_header\n"
-    )
-    return (header + "".join(" ".join(repr(c) for c in v) + "\n" for v in verts)
-            + "".join(f"3 {a} {b} {c}\n" for a, b, c in faces))
+    return _ply([" ".join(repr(c) for c in v) for v in verts],
+                [f"3 {a} {b} {c}" for a, b, c in faces])
 
 
 def _height_lattice(side: int, shift: int) -> str:
@@ -171,11 +186,7 @@ def _write_inputs(root: Path) -> None:
         "partial.xyz": "".join(gt.splitlines(keepends=True)[:10]),
         "a.xyz": _cloud(rng, 30),
         "b.xyz": _cloud(rng, 45),
-        "mesh.ply": (
-            "ply\nformat ascii 1.0\nelement vertex 4\nproperty float x\nproperty float y\n"
-            "property float z\nelement face 2\nproperty list uchar int vertex_indices\n"
-            "end_header\n0 0 0\n1 0 0\n1 1 0\n0 1 1\n3 0 1 2\n3 0 2 3\n"
-        ),
+        "mesh.ply": _ply(["0 0 0", "1 0 0", "1 1 0", "0 1 1"], ["3 0 1 2", "3 0 2 3"]),
         "schedule.json": json.dumps({"theta": 3.0, "T": 10, "t": 5}),
         "lattice3_p.xyz": _lattice(5, 3, 0),
         "lattice3_g.xyz": _lattice(5, 3, 1),
@@ -189,6 +200,14 @@ def _write_inputs(root: Path) -> None:
         "one.xyz": "0.25 0.5 0.75\n",
         "mesh_p.xyz": _height_lattice(22, 0),
         "mesh_g.xyz": _height_lattice(22, 3),
+        "commented.xyz": "# pred\n\n0 0 0\n  \n# mid\n1 0.5 0.25\n0.75 1 0\n",
+        "word.xyz": "0 0 0\n1 two 3\n",
+        "ragged.xyz": "0 0 0\n1 2\n",
+        "nan.xyz": "0 0 0\nnan 1 2\n",
+        "wide.xyz": "0 0 0 0\n1 1 1 1\n",
+        "nan_mesh.ply": _ply(["0 0 0", "1 0 nan", "0 1 0"], ["3 0 1 2"]),
+        "nan_cloud.ply": _ply(["0 0 0", "1 nan 0"], []),
+        "empty.ply": _ply([], []),
     }
     for k in range(3):
         files[f"pairs/case{k}_pred.xyz"] = _cloud(rng, 12)
