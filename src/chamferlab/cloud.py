@@ -81,12 +81,23 @@ def _row_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     return sq
 
 
+def _checked_queries(queries, dim: int) -> np.ndarray:
+    """``queries`` as a float64 (m, dim) array; InvalidInputError unless shaped so and finite."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != dim:
+        raise InvalidInputError(f"queries must have shape (m, {dim}), got {queries.shape}")
+    if not np.isfinite(queries).all():
+        raise InvalidInputError("queries contain NaN or infinite coordinates")
+    return queries
+
+
 class NNIndex:
-    """Exact nearest-neighbor index over a point cloud.
+    """Exact nearest-neighbor index over a point cloud: the one kd-tree search.
 
     Backed by scipy's cKDTree. Immutable after construction and safe to query
     concurrently. Answers are identical to a brute-force scan, with distance
-    ties broken toward the lowest point index.
+    ties broken toward the lowest point index. Every kd-tree search in this
+    module is a ``query_many`` call.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -95,20 +106,13 @@ class NNIndex:
 
     def query(self, q) -> tuple[int, float]:
         """Return (index, Euclidean distance) of the nearest source point to q."""
-        q = np.asarray(q, dtype=np.float64).reshape(-1)
-        if q.shape[0] != self.source.dim:
-            raise InvalidInputError(
-                f"query has dim {q.shape[0]}, index holds dim {self.source.dim} points"
-            )
-        idx, dists = self.query_many(q[None, :])
+        idx, dists = self.query_many(np.reshape(q, (1, -1)))
         return int(idx[0]), float(dists[0])
 
-    def query_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized query; returns (indices, distances) arrays."""
-        queries = np.asarray(queries, dtype=np.float64)
-        if not np.isfinite(queries).all():
-            raise InvalidInputError("query contains NaN or infinite coordinates")
-        return nearest_neighbors(queries, self.source, self)
+    def query_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized query of finite (m, dim) rows; returns (indices, distances) arrays."""
+        queries = _checked_queries(queries, self.source.dim)
+        return _nearest_tree(self.tree, self.source.points, queries)
 
 
 def build_index(cloud: PointCloud) -> NNIndex:
@@ -161,30 +165,24 @@ def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
 
 
 def nearest_neighbors(
-    queries: np.ndarray, target: PointCloud, index: NNIndex | None = None, *,
-    block: np.ndarray | None = None,
+    queries: np.ndarray, target: PointCloud, *, block: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest target point for every query row: (indices, distances).
 
-    Searches the kd-tree of ``index``, or of one built over ``target``.
+    Without ``block`` this is ``build_index(target).query_many(queries)``.
     ``block`` is the caller's (queries x target) ``_row_sq_dists`` block, which
-    replaces the search when given. Both paths agree bit for bit with a
-    brute-force scan, including the lowest-index tie rule.
+    replaces the search when given. Both paths reject the same queries and
+    agree bit for bit with a brute-force scan, including the lowest-index tie
+    rule.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != target.dim:
+    if block is None:
+        return build_index(target).query_many(queries)
+    queries = _checked_queries(queries, target.dim)
+    if np.shape(block) != (len(queries), len(target)):
         raise InvalidInputError(
-            f"queries must have shape (m, {target.dim}), got {queries.shape}"
+            f"block must have shape ({len(queries)}, {len(target)}), got {np.shape(block)}"
         )
-    if block is not None:
-        if np.shape(block) != (len(queries), len(target)):
-            raise InvalidInputError(
-                f"block must have shape ({len(queries)}, {len(target)}), got {np.shape(block)}"
-            )
-        return _nearest_in_block(block)
-    if index is None:
-        index = build_index(target)
-    return _nearest_tree(index.tree, target.points, queries)
+    return _nearest_in_block(block)
 
 
 class Matching:
@@ -238,10 +236,6 @@ class Matching:
 
 def nearest_hit_counts(queries: PointCloud, index: NNIndex) -> np.ndarray:
     """How many query points select each indexed point as their nearest neighbor."""
-    if queries.dim != index.source.dim:
-        raise InvalidInputError(
-            f"queries have dim {queries.dim}, index holds dim {index.source.dim} points"
-        )
     idx, _ = index.query_many(queries.points)
     return np.bincount(idx, minlength=len(index.source))
 

@@ -128,10 +128,9 @@ def _vertex_array(elements, data, path) -> np.ndarray:
             ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
         except ValueError as exc:
             raise InvalidInputError(f"{path}: vertex element lacks x/y/z properties") from exc
-        width = max(ix, iy, iz) + 1
         rows = []
         for lineno, row in data[name]:
-            if len(row) < width:
+            if len(row) != len(props):
                 raise _malformed(path, lineno, row, "vertex")
             rows.append((lineno, [row[ix], row[iy], row[iz]]))
         return _coordinate_rows(path, rows, "vertex")
@@ -152,15 +151,18 @@ def read_ply_mesh(path: str | os.PathLike) -> TriangleMesh:
     elements, data = _read_ply_elements(path)
     verts = _vertex_array(elements, data, path)
     tris: list[tuple[int, int, int]] = []
-    for name, _count, _props in elements:
+    for name, _count, props in elements:
         if name != "face":
             continue
         for lineno, row in data[name]:
             try:
                 k = int(row[0])
                 tri = (int(row[1]), int(row[2]), int(row[3])) if k == 3 else None
-            except (IndexError, ValueError) as exc:
-                raise _malformed(path, lineno, row, "face") from exc
+            except (IndexError, ValueError):
+                k = None
+            # the index count k, k indices, then one token per other face property
+            if k is None or len(row) != k + len(props):
+                raise _malformed(path, lineno, row, "face")
             if tri is None:
                 raise InvalidInputError(f"{path}: only triangular faces supported, got {k}-gon")
             tris.append(tri)

@@ -95,6 +95,26 @@ class TestNearest:
         with pytest.raises(InvalidInputError, match="NaN or infinite"):
             idx.query([0.0, value, 0.0])
 
+    @pytest.mark.parametrize("bad", ["wrong-dim", "nan"])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda q, target: nearest(build_index(target), q[0]),
+            lambda q, target: build_index(target).query_many(q),
+            lambda q, target: nearest_hit_counts(PointCloud(q), build_index(target)),
+            lambda q, target: nearest_neighbors(q, target),
+            lambda q, target: nearest_neighbors(q, target, block=np.zeros((1, len(target)))),
+        ],
+        ids=["nearest", "query_many", "nearest_hit_counts", "nearest_neighbors-tree",
+             "nearest_neighbors-block"],
+    )
+    def test_one_query_contract(self, rng, search, bad):
+        # every search entry point rejects the same queries, whether it searches
+        # the kd-tree of a 100-point target or reads a caller's block
+        queries = {"wrong-dim": [[0.5, 0.5]], "nan": [[np.nan, 0.5, 0.5]]}[bad]
+        with pytest.raises(InvalidInputError):
+            search(np.array(queries), random_cloud(rng, 100))
+
     def test_matches_brute_force_on_random_clouds(self, rng):
         # the exact-NN contract: index and distance equal a brute-force scan, bit for bit
         for _ in range(20):
@@ -267,6 +287,28 @@ class TestMatching:
             for k, q in enumerate(src.points):
                 assert (idx[k], dist[k]) == brute_force_nearest(dst.points, q)
         assert (10, 65) not in block_shapes
+
+    def test_every_tree_search_is_one_query_many(self, rng, monkeypatch):
+        counts = {"query_many": 0, "build_index": 0, "_nearest_tree": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, owner in (("query_many", cloud_module.NNIndex), ("build_index", cloud_module),
+                            ("_nearest_tree", cloud_module)):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        p, g = random_cloud(rng, 70), random_cloud(rng, 90)
+        m = Matching(p, g)
+        m.p_to_g, m.g_to_p
+        assert counts == {"query_many": 2, "build_index": 2, "_nearest_tree": 2}
+        nearest_hit_counts(p, cloud_module.NNIndex(g))
+        assert counts == {"query_many": 3, "build_index": 2, "_nearest_tree": 3}
+        # a target and the index of another cloud can no longer be passed together
+        with pytest.raises(TypeError):
+            nearest_neighbors(p.points, g, cloud_module.NNIndex(p))
 
     @pytest.mark.parametrize("shape", [(4, 5), (5,), (5, 4, 1), (5, 3)])
     def test_misshaped_block_is_rejected(self, rng, shape):

@@ -137,9 +137,13 @@ def test_read_ply_mesh_rejects_polygons(tmp_path):
         # every face uses vertex 1: a NaN there must not read as degenerate faces
         ("1 0 0\n", "1 0 nan\n", 11, "non-finite"),
         ("0 1 0\n", "0 one 0\n", 12, "malformed"),
+        # a row longer than its header declares: a missing property or a shifted face
+        ("1 0 0\n", "1 0 0 9 9\n", 11, "malformed vertex row: '1 0 0 9 9'"),
+        ("3 0 1 2\n", "3 0 1 2 7 7\n", 14, "malformed face row: '3 0 1 2 7 7'"),
     ],
     ids=["vertex", "face", "header-format", "header-no-count", "header-count-abc",
-         "header-count-negative", "header-no-name", "vertex-nan", "vertex-non-numeric"],
+         "header-count-negative", "header-no-name", "vertex-nan", "vertex-non-numeric",
+         "vertex-long", "face-long"],
 )
 def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line, problem):
     path = tmp_path / "short.ply"
@@ -187,11 +191,14 @@ def test_ply_header_errors_name_the_file(tmp_path, capsys, text, where, message)
         ("n.xyz", "0 0 0\n\n0 0 -inf\n", ":3: non-finite coordinate row: '0 0 -inf'"),
         ("n.ply", PLY_CLOUD.replace("1.5 0 0", "1.5 nan 0"),
          ":10: non-finite vertex row: '1.5 nan 0'"),
+        ("long.ply", PLY_CLOUD.replace("1.5 0 0", "1.5 0 0 9"),
+         ":10: malformed vertex row: '1.5 0 0 9'"),
         ("wide.xyz", "0 0 0 0\n1 1 1 1\n", ": points must be 2- or 3-dimensional, got dim 4"),
         ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
          "property float y\nproperty float z\nend_header\n", ": no points found"),
     ],
-    ids=["xyz-nan", "xyz-1e999", "xyz-minus-inf", "ply-nan", "xyz-4-columns", "ply-no-vertices"],
+    ids=["xyz-nan", "xyz-1e999", "xyz-minus-inf", "ply-nan", "ply-long-row", "xyz-4-columns",
+         "ply-no-vertices"],
 )
 def test_read_cloud_errors_name_the_file(tmp_path, capsys, name, text, message):
     path = tmp_path / name

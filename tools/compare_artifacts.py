@@ -89,6 +89,11 @@ def _runs() -> dict[str, list[str]]:
         "metrics-xyz-nan": ["metrics", "nan.xyz", "gt.xyz"],
         "metrics-ply-mesh-nan-vertex": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "nan_mesh.ply"],
         "metrics-ply-cloud-nan-vertex": ["metrics", "nan_cloud.ply", "gt.xyz"],
+        # PLY rows longer than their header declares
+        "metrics-ply-mesh-long-vertex-row": [
+            "metrics", "pred.xyz", "gt.xyz", "--mesh", "long_vertex.ply",
+        ],
+        "metrics-ply-mesh-long-face-row": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "long_face.ply"],
         # whole files that the reader rejects, by name
         "metrics-xyz-4-columns": ["metrics", "wide.xyz", "gt.xyz"],
         "metrics-ply-no-vertices": ["metrics", "empty.ply", "gt.xyz"],
@@ -207,6 +212,8 @@ def _write_inputs(root: Path) -> None:
         "wide.xyz": "0 0 0 0\n1 1 1 1\n",
         "nan_mesh.ply": _ply(["0 0 0", "1 0 nan", "0 1 0"], ["3 0 1 2"]),
         "nan_cloud.ply": _ply(["0 0 0", "1 nan 0"], []),
+        "long_vertex.ply": _ply(["0 0 0", "1 0 0 9 9", "0 1 0"], ["3 0 1 2"]),
+        "long_face.ply": _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2 7 7"]),
         "empty.ply": _ply([], []),
     }
     for k in range(3):
