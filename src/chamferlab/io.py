@@ -164,13 +164,17 @@ def read_ply_mesh(path: str | os.PathLike) -> TriangleMesh:
             if k is None or len(row) != k + len(props):
                 raise _malformed(path, lineno, row, "face")
             if tri is None:
-                raise InvalidInputError(f"{path}: only triangular faces supported, got {k}-gon")
+                raise InvalidInputError(
+                    f"{path}:{lineno}: only triangular faces supported, got {k}-gon"
+                )
             tris.append(tri)
     if not tris:
         raise InvalidInputError(f"{path}: PLY file has no faces")
     tri_arr = np.asarray(tris, dtype=np.intp)
-    if tri_arr.min() < 0 or tri_arr.max() >= verts.shape[0]:
-        raise InvalidInputError(f"{path}: face indices out of vertex range")
+    out_of_range = ((tri_arr < 0) | (tri_arr >= len(verts))).any(axis=1)
+    if out_of_range.any():
+        lineno, _ = data["face"][out_of_range.argmax()]  # one triangle per face row
+        raise InvalidInputError(f"{path}:{lineno}: face indices out of vertex range")
     tri_arr = tri_arr[_positive_area(verts, tri_arr)]
     if tri_arr.shape[0] == 0:
         raise InvalidInputError(f"{path}: all faces are degenerate")

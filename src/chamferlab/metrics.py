@@ -19,10 +19,10 @@ EMD_EXACT_MAX = 1024
 # emd_approx: a scaling-domain product outside [1/SCALING_RANGE, SCALING_RANGE]
 # sends its half-step to the log domain
 SCALING_RANGE = 1e100
-# point_to_mesh: pruning slack per unit of the largest coordinate, and the
-# (point, triangle) pairs evaluated at once
+# point_to_mesh: pruning slack per unit of the largest coordinate
 P2M_SLACK = 2.0**-40
-P2M_PAIR_CHUNK = 1 << 16
+# the pairs (point-triangle, or cells of a dense EMD matrix) built at once
+PAIR_CHUNK = 1 << 16
 
 
 def _check_pair(p: PointCloud, g: PointCloud) -> None:
@@ -44,6 +44,23 @@ def _mean(x: np.ndarray) -> float:
     # np.mean's Python wrapper costs more than the sum on a descent step's
     # 64 elements; this is the same sum and division, so the same float
     return float(x.sum() / x.size)
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices that cover ``range(rows)``, each of at most PAIR_CHUNK pairs of
+    ``cols`` columns (one row at least)."""
+    step = max(1, PAIR_CHUNK // cols)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _pair_costs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (len(p), len(g)) Euclidean cost matrix, filled in row blocks: the
+    same values as ``np.sqrt(_row_sq_dists(p[:, None], g[None]))`` without its
+    full-size temporaries."""
+    cost = np.empty((len(p), len(g)))
+    for blk in _row_blocks(len(p), len(g)):
+        np.sqrt(_row_sq_dists(p[blk, None], g[None]), out=cost[blk])
+    return cost
 
 
 def _matched(p: PointCloud, g: PointCloud, matching: Matching | None) -> Matching:
@@ -124,7 +141,7 @@ def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:
         raise InvalidInputError(
             f"exact EMD capped at {EMD_EXACT_MAX} points ({len(p)} given); use emd_approx"
         )
-    cost = np.sqrt(_row_sq_dists(p.points[:, None], g.points[None]))
+    cost = _pair_costs(p.points, g.points)
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())
     return total / len(p) if mean else total
@@ -152,14 +169,16 @@ def emd_approx(
     kernel exp((f + h - C) / eps). A half-step whose product leaves
     SCALING_RANGE runs in the log domain instead; f and h then absorb the
     scalings and the kernel is rebuilt (Schmitzer 2019, "Stabilized sparse
-    scaling algorithms for entropy regularized transport problems").
+    scaling algorithms for entropy regularized transport problems"). The cost
+    and the kernel are the only (n, m) matrices: the kernel is rebuilt in place
+    and becomes the plan by scaling in place.
     """
     _check_pair(p, g)
     _check_positive("epsilon", epsilon)
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     n, m = len(p), len(g)
-    cost = np.sqrt(_row_sq_dists(p.points[:, None], g.points[None]))
+    cost = _pair_costs(p.points, g.points)
     a = np.full(n, 1.0 / n)
     b = np.full(m, 1.0 / m)
     log_a = np.log(a)
@@ -168,11 +187,16 @@ def emd_approx(
     h = np.zeros(m)
     u = np.ones(n)
     v = np.ones(m)
+    kernel = np.empty((n, m))
 
-    def kernel_of(f, h):
-        return np.exp((f[:, None] + h[None, :] - cost) / epsilon)
+    def fill_kernel(f, h):
+        # exp((f + h - C) / eps), in place: one matrix besides the cost
+        np.add.outer(f, h, out=kernel)
+        np.subtract(kernel, cost, out=kernel)
+        np.divide(kernel, epsilon, out=kernel)
+        np.exp(kernel, out=kernel)
 
-    kernel = kernel_of(f, h)
+    fill_kernel(f, h)
     for _ in range(iterations):
         s = kernel.T @ (a * u)
         if _in_range(s):
@@ -181,7 +205,7 @@ def emd_approx(
             f = f + epsilon * np.log(u)
             h = -epsilon * logsumexp((f[:, None] - cost) / epsilon + log_a[:, None], axis=0)
             u, v = np.ones(n), np.ones(m)
-            kernel = kernel_of(f, h)
+            fill_kernel(f, h)
         s = kernel @ (b * v)
         if _in_range(s):
             u = 1.0 / s
@@ -189,8 +213,10 @@ def emd_approx(
             h = h + epsilon * np.log(v)
             f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + log_b[None, :], axis=1)
             u, v = np.ones(n), np.ones(m)
-            kernel = kernel_of(f, h)
-    plan = (a * u)[:, None] * kernel * (b * v)[None, :]
+            fill_kernel(f, h)
+    plan = kernel  # (a*u) K (b*v), scaled in place
+    plan *= (a * u)[:, None]
+    plan *= (b * v)[None, :]
 
     # round to a feasible plan: scale rows/columns down to their marginals,
     # then restore missing mass with a rank-one patch
@@ -202,8 +228,10 @@ def emd_approx(
     err_b = b - plan.sum(axis=0)
     missing = err_a.sum()
     if missing > 0:
-        plan = plan + np.outer(err_a, err_b) / missing
-    return float((plan * cost).sum())
+        for blk in _row_blocks(n, m):
+            plan[blk] += np.outer(err_a[blk], err_b) / missing
+    plan *= cost
+    return float(plan.sum())
 
 
 def fscore(p: PointCloud, g: PointCloud, threshold: float = 0.01) -> float:
@@ -282,9 +310,9 @@ def point_to_mesh(p: PointCloud, mesh: TriangleMesh) -> float:
     _, first = tree.query(points)
     best = _point_triangle_sqdists(points, a[first], b[first], c[first])
     bound = np.sqrt(best) + slack
-    per_query = max(1, P2M_PAIR_CHUNK // len(mesh))  # a ball holds at most every triangle
-    for lo in range(0, len(points), per_query):
-        idx = np.arange(lo, min(lo + per_query, len(points)))
+    # a block of points meets at most PAIR_CHUNK triangles: a ball holds at most all of them
+    for blk in _row_blocks(len(points), len(mesh)):
+        idx = np.arange(*blk.indices(len(points)))
         balls = tree.query_ball_point(points[idx], bound[idx] + radii.max() + slack)
         rows = np.repeat(idx, [len(ball) for ball in balls])
         tris = np.concatenate(balls).astype(np.intp)

@@ -140,10 +140,14 @@ def test_read_ply_mesh_rejects_polygons(tmp_path):
         # a row longer than its header declares: a missing property or a shifted face
         ("1 0 0\n", "1 0 0 9 9\n", 11, "malformed vertex row: '1 0 0 9 9'"),
         ("3 0 1 2\n", "3 0 1 2 7 7\n", 14, "malformed face row: '3 0 1 2 7 7'"),
+        # well-formed face rows that the mesh cannot use
+        ("3 1 3 2\n", "4 1 3 2 0\n", 15, "only triangular faces supported, got 4-gon"),
+        ("3 1 3 2\n", "3 1 3 4\n", 15, "face indices out of vertex range"),
+        ("3 0 1 3\n", "3 0 -1 3\n", 16, "face indices out of vertex range"),
     ],
     ids=["vertex", "face", "header-format", "header-no-count", "header-count-abc",
          "header-count-negative", "header-no-name", "vertex-nan", "vertex-non-numeric",
-         "vertex-long", "face-long"],
+         "vertex-long", "face-long", "face-quad", "face-index-high", "face-index-negative"],
 )
 def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line, problem):
     path = tmp_path / "short.ply"
@@ -154,6 +158,13 @@ def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line, pr
     cloud.write_text("0 0 0\n")
     assert main(["metrics", str(cloud), str(cloud), "--mesh", str(path)]) == 3
     assert f"short.ply:{line}:" in capsys.readouterr().err
+
+
+def test_read_ply_mesh_names_the_first_out_of_range_face(tmp_path):
+    path = tmp_path / "oor.ply"
+    path.write_text(PLY_MESH.replace("3 1 3 2\n", "3 1 3 9\n").replace("3 0 1 3\n", "3 0 1 -1\n"))
+    with pytest.raises(InvalidInputError, match="oor.ply:15: face indices out of vertex range"):
+        read_ply_mesh(path)
 
 
 @pytest.mark.parametrize(

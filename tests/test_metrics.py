@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from chamferlab import (
     point_to_mesh,
 )
 from chamferlab import metrics
-from chamferlab.cloud import Matching
+from chamferlab.cloud import Matching, _row_sq_dists
 from chamferlab.objective import dcd_gradient
 
 from conftest import random_cloud
@@ -350,6 +351,60 @@ class TestEmdApprox:
             with pytest.raises(InvalidInputError, match="epsilon"):
                 emd_approx(p, g, epsilon=epsilon)
 
+    @pytest.mark.parametrize("epsilon", [0.01, 1e-4])
+    def test_row_blocks_keep_every_iterate(self, rng, monkeypatch, epsilon, log_domain_steps):
+        # 300-pair blocks: several per cost matrix and per rank-one patch
+        monkeypatch.setattr(metrics, "PAIR_CHUNK", 300)
+        for dim, n, m in ((2, 40, 33), (3, 25, 61), (3, 7, 400)):
+            p, g = random_cloud(rng, n, dim), random_cloud(rng, m, dim)
+            assert emd_approx(p, g, 60, epsilon) == norm_cost_scaling_sinkhorn(p, g, 60, epsilon)
+        assert bool(log_domain_steps) == (epsilon == 1e-4)
+
+
+class TestPairCosts:
+    @pytest.mark.parametrize("chunk", [1, 300, 5000, None], ids=["1", "300", "5000", "default"])
+    def test_bit_identical_to_the_full_size_kernel(self, rng, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(metrics, "PAIR_CHUNK", chunk)
+        # blocks of many rows, of one row (more columns than the chunk), and
+        # clouds of fewer rows than one block
+        for dim, n, m in ((2, 70, 50), (3, 130, 90), (3, 3, 40), (2, 40, 700), (3, 1, 1)):
+            p = 10.0 * rng.random((n, dim)) - 5.0
+            g = 10.0 * rng.random((m, dim)) - 5.0
+            cost = metrics._pair_costs(p, g)
+            assert cost.shape == (n, m)
+            assert np.array_equal(cost, np.sqrt(_row_sq_dists(p[:, None], g[None])))
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn allocates at its peak, as tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseMemory:
+    """The dense EMD solvers hold only the matrices they use; each full-size
+    temporary of the cost or kernel expressions adds a matrix to these peaks."""
+
+    def test_exact_emd_holds_only_its_cost_matrix(self, rng):
+        p, g = random_cloud(rng, 1024), random_cloud(rng, 1024)
+        matrix = 1024 * 1024 * 8
+        assert traced_peak(lambda: emd_exact(p, g)) <= 1.3 * matrix
+
+    def test_sinkhorn_holds_only_its_cost_and_kernel(self, rng):
+        p, g = random_cloud(rng, 512), random_cloud(rng, 512)
+        matrix = 512 * 512 * 8
+        # the cost and the kernel, one row block of the rank-one patch (a
+        # quarter matrix at 512 points) and numpy's buffers: 2.34 matrices.
+        # One more full-size temporary would make it 3 at least.
+        assert traced_peak(lambda: emd_approx(p, g, 10)) <= 2.5 * matrix
+
 
 class TestFscore:
     def test_identity_is_one(self, rng):
@@ -501,7 +556,7 @@ class TestPointToMesh:
         cloud = PointCloud(rng.random((80, 3)) - [0, 0, 0.5])
         expected = scan_point_to_mesh(cloud, mesh)
         for chunk in (1, 300, 5000):
-            monkeypatch.setattr(metrics, "P2M_PAIR_CHUNK", chunk)
+            monkeypatch.setattr(metrics, "PAIR_CHUNK", chunk)
             assert point_to_mesh(cloud, mesh) == expected
 
     def test_prunes_most_triangles(self, rng, monkeypatch):

@@ -54,6 +54,13 @@ def _runs() -> dict[str, list[str]]:
         "metrics-lattice-2d-emd-approx": [
             "metrics", "lattice2_p.xyz", "lattice2_g.xyz", "--emd-approx",
         ],
+        # 125 against 64 lattice points take the Sinkhorn solver; at this epsilon
+        # its first half-step underflows and runs in the log domain
+        "metrics-lattice-emd-approx-log-domain": [
+            "metrics", "lattice3_p.xyz", "lattice4_g.xyz", "--emd-approx", "--emd-epsilon", "1e-4",
+        ],
+        # 600 points per side: the exact-EMD cost matrix is built in several row blocks
+        "metrics-emd-exact-row-blocks": ["metrics", "e.xyz", "f.xyz"],
         "metrics-tree-random": ["metrics", "c.xyz", "d.xyz", "--csv", "report.csv"],
         # 64 points per side: one distance block serves both directions, with
         # exact ties between up to 8 candidates in each
@@ -94,6 +101,9 @@ def _runs() -> dict[str, list[str]]:
             "metrics", "pred.xyz", "gt.xyz", "--mesh", "long_vertex.ply",
         ],
         "metrics-ply-mesh-long-face-row": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "long_face.ply"],
+        # well-formed face rows that a triangle mesh cannot use
+        "metrics-ply-mesh-quad-face": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "quad.ply"],
+        "metrics-ply-mesh-face-out-of-range": ["metrics", "pred.xyz", "gt.xyz", "--mesh", "oor.ply"],
         # whole files that the reader rejects, by name
         "metrics-xyz-4-columns": ["metrics", "wide.xyz", "gt.xyz"],
         "metrics-ply-no-vertices": ["metrics", "empty.ply", "gt.xyz"],
@@ -214,6 +224,8 @@ def _write_inputs(root: Path) -> None:
         "nan_cloud.ply": _ply(["0 0 0", "1 nan 0"], []),
         "long_vertex.ply": _ply(["0 0 0", "1 0 0 9 9", "0 1 0"], ["3 0 1 2"]),
         "long_face.ply": _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2 7 7"]),
+        "quad.ply": _ply(["0 0 0", "1 0 0", "0 1 0", "1 1 0"], ["4 0 1 3 2"]),
+        "oor.ply": _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 5"]),
         "empty.ply": _ply([], []),
     }
     for k in range(3):
@@ -221,6 +233,8 @@ def _write_inputs(root: Path) -> None:
         files[f"pairs/case{k}_gt.xyz"] = _cloud(rng, 12)
     files["c.xyz"] = _cloud(rng, 80)
     files["d.xyz"] = _cloud(rng, 80)
+    files["e.xyz"] = _cloud(rng, 600)
+    files["f.xyz"] = _cloud(rng, 600)
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
