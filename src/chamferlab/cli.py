@@ -265,7 +265,8 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fscore-threshold", type=float, default=0.01)
     parser.add_argument("--dcd-temperature", type=float, default=1000.0)
-    parser.add_argument("--emd-approx", action="store_true", help="use the entropic EMD solver")
+    parser.add_argument("--emd-approx", action="store_true", help="allow the entropic EMD where "
+                        f"exact EMD cannot run: unequal sizes, or over {EMD_EXACT_MAX} points")
     parser.add_argument("--emd-iterations", type=int, default=1000)
     parser.add_argument("--emd-epsilon", type=float, default=0.01)
 
@@ -305,16 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="initial cloud file")
     p.add_argument("--target", help="target cloud file")
     p.add_argument("--objective", default="fcd", choices=OBJECTIVE_KINDS)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=1.0, help="fcd weight, unused under --schedule")
+    p.add_argument("--beta", type=float, default=2.0, help="fcd weight, unused under --schedule")
     p.add_argument("--r", type=int, default=1, choices=(1, 2))
-    p.add_argument("--dcd-temperature", type=float, default=1000.0)
+    p.add_argument("--dcd-temperature", type=float, default=1000.0,
+                   help="the dcd-loss objective's temperature (the trace's dcd column uses 1000)")
     p.add_argument("--schedule", choices=SCHEDULE_KINDS, help="weight schedule for fcd")
     _add_schedule_flags(p)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--step-size", type=float, default=0.05)
     p.add_argument("--update-rule", default="plain", choices=("plain", "momentum"))
-    p.add_argument("--momentum", type=float, default=0.0)
+    p.add_argument("--momentum", type=float, default=0.0, help="only with --update-rule momentum")
     p.add_argument("--record-every", type=int, default=50)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--pin", help="comma-separated point indices to freeze")

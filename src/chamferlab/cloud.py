@@ -20,7 +20,7 @@ _BRUTE_FORCE_MAX = 64
 _TIE_RTOL = 1e-9
 
 
-def _as_points(points, dim: int | None = None) -> np.ndarray:
+def _as_points(points) -> np.ndarray:
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
@@ -30,8 +30,6 @@ def _as_points(points, dim: int | None = None) -> np.ndarray:
         raise InvalidInputError("point cloud must contain at least one point")
     if arr.shape[1] not in (2, 3):
         raise InvalidInputError(f"points must be 2- or 3-dimensional, got dim {arr.shape[1]}")
-    if dim is not None and arr.shape[1] != dim:
-        raise InvalidInputError(f"expected dim {dim}, got {arr.shape[1]}")
     if not np.isfinite(arr).all():
         raise InvalidInputError("points contain NaN or infinite coordinates")
     return arr

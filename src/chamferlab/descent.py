@@ -288,7 +288,10 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
         value, grads = 0.0, []
         for cloud, (stage_target, stage_loss) in zip(clouds, stages):
             m = Matching(cloud, stage_target)
-            stage_value, stage_grad, weights, state_grad = stage_loss.value_grad(m, step)
+            try:
+                stage_value, stage_grad, weights, state_grad = stage_loss.value_grad(m, step)
+            except OverflowError:  # math.exp of a stepped uncertainty state
+                raise DivergenceError(f"uncertainty weights overflowed at step {step}") from None
             value += stage_value
             grads.append(stage_grad)
         grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
@@ -327,9 +330,9 @@ def optimize(
 
     Nearest-neighbor assignments (and scheduled weights) are recomputed every
     step; pinned points receive zero update. Runs are deterministic for a
-    fixed config. Raises DivergenceError if the objective or the coordinates
-    become non-finite, or if a point moves farther from the target centroid
-    than 1e6 times the radius of init and target about that centroid.
+    fixed config. Raises DivergenceError if the objective, the coordinates or
+    the uncertainty weights become non-finite, or if a point moves farther from
+    the target centroid than 1e6 times the radius of init and target about it.
     """
     if init.dim != target.dim:
         raise InvalidInputError(f"dimension mismatch: {init.dim} vs {target.dim}")
@@ -375,15 +378,13 @@ def optimize_hierarchical(
     return fine, coarse, trace
 
 
-def clustered_grid_benchmark(
-    n: int = 64, seed: int = 42, noise_scale: float = 0.05
-) -> tuple[PointCloud, PointCloud]:
+def clustered_grid_benchmark(n: int = 64, seed: int = 42) -> tuple[PointCloud, PointCloud]:
     """Canonical clustered-init benchmark: (init, target).
 
     Target is a planar unit grid of n points; init draws n points from a
-    Gaussian blob centered on the grid corner at the origin, reproducing the
-    pathological local clustering that symmetric Chamfer descent struggles to
-    escape.
+    Gaussian blob of standard deviation 0.05 centered on the grid corner at the
+    origin, reproducing the pathological local clustering that symmetric
+    Chamfer descent struggles to escape.
     """
     side = round(n ** 0.5)
     if side * side != n:
@@ -392,5 +393,5 @@ def clustered_grid_benchmark(
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     target = PointCloud(np.column_stack([gx.ravel(), gy.ravel()]))
     rng = np.random.default_rng(seed)
-    init = PointCloud(noise_scale * rng.standard_normal((n, 2)))
+    init = PointCloud(0.05 * rng.standard_normal((n, 2)))
     return init, target

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -64,11 +65,12 @@ def write_xyz(path: str | os.PathLike, cloud: PointCloud) -> None:
 
 
 def _parse_ply_header(path, lines):
-    """Elements (name, count, properties) of the header; ``lines`` yields (number, text)."""
+    """Elements of the header, name -> (count, properties); ``lines`` yields (number, text)."""
     if next(lines, (0, ""))[1].strip() != "ply":
         raise InvalidInputError(f"{path}:1: not a PLY file (missing 'ply' magic)")
     fmt, fmt_lineno = None, 0
-    elements: list[tuple[str, int, list[str]]] = []
+    elements: dict[str, tuple[int, list[str]]] = {}
+    props = None  # the properties of the last element
     while True:
         lineno, line = next(lines, (0, ""))
         if not line:
@@ -87,11 +89,14 @@ def _parse_ply_header(path, lines):
                 count = -1
             if count < 0:
                 raise _malformed(path, lineno, tokens, "header")
-            elements.append((tokens[1], count, []))
+            if tokens[1] in elements:
+                raise InvalidInputError(f"{path}:{lineno}: PLY element {tokens[1]!r} declared twice")
+            props = []
+            elements[tokens[1]] = count, props
         elif tokens[0] == "property":
-            if not elements:
+            if props is None:
                 raise InvalidInputError(f"{path}:{lineno}: PLY property before any element")
-            elements[-1][2].append(tokens[-1])
+            props.append(tokens[-1])
         elif tokens[0] == "end_header":
             break
     if fmt != "ascii":
@@ -100,47 +105,42 @@ def _parse_ply_header(path, lines):
     return elements
 
 
-def _read_ply_elements(path):
+def _read_ply_elements(path) -> dict[str, tuple[list[str], list[tuple[int, list[str]]]]]:
+    """The file's elements in header order: name -> (properties, rows of (line number, tokens))."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
-        elements = _parse_ply_header(path, lines)
-        data: dict[str, list[tuple[int, list[str]]]] = {}  # name -> (line number, tokens)
-        for name, count, _props in elements:
-            rows = []
-            for _ in range(count):
-                lineno, line = next(lines, (0, ""))
-                if not line:
-                    raise InvalidInputError(f"{path}: PLY body ends inside element {name!r}")
-                rows.append((lineno, line.split()))
-            data[name] = rows
-    return elements, data
+        elements = {}
+        for name, (count, props) in _parse_ply_header(path, lines).items():
+            rows = [(lineno, line.split()) for lineno, line in islice(lines, count)]
+            if len(rows) < count:
+                raise InvalidInputError(f"{path}: PLY body ends inside element {name!r}")
+            elements[name] = props, rows
+    return elements
 
 
 def _malformed(path, lineno: int, row: list[str], what: str) -> InvalidInputError:
     return InvalidInputError(f"{path}:{lineno}: malformed {what} row: {' '.join(row)!r}")
 
 
-def _vertex_array(elements, data, path) -> np.ndarray:
-    for name, _count, props in elements:
-        if name != "vertex":
-            continue
-        try:
-            ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: vertex element lacks x/y/z properties") from exc
-        rows = []
-        for lineno, row in data[name]:
-            if len(row) != len(props):
-                raise _malformed(path, lineno, row, "vertex")
-            rows.append((lineno, [row[ix], row[iy], row[iz]]))
-        return _coordinate_rows(path, rows, "vertex")
-    raise InvalidInputError(f"{path}: PLY file has no vertex element")
+def _vertex_array(elements, path) -> np.ndarray:
+    if "vertex" not in elements:
+        raise InvalidInputError(f"{path}: PLY file has no vertex element")
+    props, body = elements["vertex"]
+    try:
+        ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: vertex element lacks x/y/z properties") from exc
+    rows = []
+    for lineno, row in body:
+        if len(row) != len(props):
+            raise _malformed(path, lineno, row, "vertex")
+        rows.append((lineno, [row[ix], row[iy], row[iz]]))
+    return _coordinate_rows(path, rows, "vertex")
 
 
 def read_ply(path: str | os.PathLike) -> PointCloud:
     """Read the vertices of an ASCII PLY file as a point cloud."""
-    elements, data = _read_ply_elements(path)
-    return PointCloud(_vertex_array(elements, data, path))
+    return PointCloud(_vertex_array(_read_ply_elements(path), path))
 
 
 def read_ply_mesh(path: str | os.PathLike) -> TriangleMesh:
@@ -148,32 +148,28 @@ def read_ply_mesh(path: str | os.PathLike) -> TriangleMesh:
 
     Faces must be triangles; degenerate (zero-area) triangles are dropped.
     """
-    elements, data = _read_ply_elements(path)
-    verts = _vertex_array(elements, data, path)
+    elements = _read_ply_elements(path)
+    verts = _vertex_array(elements, path)
+    props, faces = elements.get("face", ([], []))
     tris: list[tuple[int, int, int]] = []
-    for name, _count, props in elements:
-        if name != "face":
-            continue
-        for lineno, row in data[name]:
-            try:
-                k = int(row[0])
-                tri = (int(row[1]), int(row[2]), int(row[3])) if k == 3 else None
-            except (IndexError, ValueError):
-                k = None
-            # the index count k, k indices, then one token per other face property
-            if k is None or len(row) != k + len(props):
-                raise _malformed(path, lineno, row, "face")
-            if tri is None:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: only triangular faces supported, got {k}-gon"
-                )
-            tris.append(tri)
+    for lineno, row in faces:
+        try:
+            k = int(row[0])
+            tri = (int(row[1]), int(row[2]), int(row[3])) if k == 3 else None
+        except (IndexError, ValueError):
+            k = None
+        # the index count k, k indices, then one token per other face property
+        if k is None or len(row) != k + len(props):
+            raise _malformed(path, lineno, row, "face")
+        if tri is None:
+            raise InvalidInputError(f"{path}:{lineno}: only triangular faces supported, got {k}-gon")
+        tris.append(tri)
     if not tris:
         raise InvalidInputError(f"{path}: PLY file has no faces")
     tri_arr = np.asarray(tris, dtype=np.intp)
     out_of_range = ((tri_arr < 0) | (tri_arr >= len(verts))).any(axis=1)
     if out_of_range.any():
-        lineno, _ = data["face"][out_of_range.argmax()]  # one triangle per face row
+        lineno, _ = faces[out_of_range.argmax()]  # one triangle per face row
         raise InvalidInputError(f"{path}:{lineno}: face indices out of vertex range")
     tri_arr = tri_arr[_positive_area(verts, tri_arr)]
     if tri_arr.shape[0] == 0:

@@ -90,6 +90,21 @@ class TestMetricsCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["emd"] is not None and report["emd"] > 0
 
+    def test_emd_approx_applies_only_where_exact_emd_cannot_run(self, tmp_path, capsys, rng):
+        a, b, c = (tmp_path / name for name in ("a.xyz", "b.xyz", "c.xyz"))
+        write_xyz(a, random_cloud(rng, 6))
+        write_xyz(b, random_cloud(rng, 6))
+        write_xyz(c, random_cloud(rng, 5))
+        emd = {}
+        for gt in (b, c):
+            for flags in ([], ["--emd-approx"]):
+                assert main(["metrics", str(a), str(gt), *flags]) == 0
+                emd[gt.name, bool(flags)] = json.loads(capsys.readouterr().out)["emd"]
+        # an equal pair under the cap takes exact EMD, with or without the flag
+        assert emd["b.xyz", False] == emd["b.xyz", True] is not None
+        # an unequal pair has an EMD only from the approximate solver
+        assert emd["c.xyz", False] is None and emd["c.xyz", True] > 0
+
     def test_out_dir_writes_report_and_manifest(self, fixture_files, tmp_path, capsys):
         pred, gt = fixture_files
         out = tmp_path / "out"
@@ -259,6 +274,19 @@ class TestOptimizeCommand:
             ]
         )
         assert code == 4
+
+    def test_overflowing_uncertainty_weights_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(
+            [
+                "optimize", "--benchmark", "clustered-grid", "--schedule", "uncertainty",
+                "--step-size", "1000", "--steps", "3", "--out-dir", str(out),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" at step 1\n")
+        assert not out.exists()
 
     def test_missing_inputs_exit_3(self, tmp_path, capsys):
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3

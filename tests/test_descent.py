@@ -182,6 +182,14 @@ def test_divergence_guard():
         optimize(init, target, ObjectiveSpec("cd-l2"), config)
 
 
+def test_overflowing_uncertainty_weights_are_divergence():
+    # one step of this size drives s_local near -950, where exp(-s_local) overflows
+    init, target = clustered_grid_benchmark(64, seed=42)
+    config = OptimizerConfig(steps=3, step_size=1000.0)
+    with pytest.raises(DivergenceError, match="at step 1$"):
+        optimize(init, target, ObjectiveSpec("fcd"), config, schedule=ScheduleSpec("uncertainty"))
+
+
 def test_momentum_converges_on_easy_problem(rng):
     target = random_cloud(rng, 10)
     init = PointCloud(target.points + 0.05 * rng.standard_normal((10, 3)))
@@ -369,6 +377,15 @@ class TestHierarchical:
         config = OptimizerConfig(steps=4, step_size=1e-3, record_every=2)
         optimize_hierarchical(init_coarse, hierarchy, target, ScheduleSpec(kind), config)
         assert len(nn_calls) == 4 * (config.steps + 1)
+
+    def test_overflowing_uncertainty_weights_are_divergence(self, rng):
+        _, target = clustered_grid_benchmark(64, seed=42)
+        init_coarse = PointCloud(0.05 * rng.standard_normal((16, 2)))
+        hierarchy = HierarchySpec(coarse_count=16, children_per_coarse=4)
+        config = OptimizerConfig(steps=3, step_size=1000.0)
+        schedule = ScheduleSpec("uncertainty")
+        with pytest.raises(DivergenceError, match="at step 1$"):
+            optimize_hierarchical(init_coarse, hierarchy, target, schedule, config)
 
     def test_size_validation(self, rng):
         target = random_cloud(rng, 8)

@@ -178,8 +178,14 @@ def test_read_ply_mesh_names_the_first_out_of_range_face(tmp_path):
         ("ply\ncomment x\nformat binary_little_endian 1.0\nend_header\n", ":3:",
          "only ASCII PLY is supported, got format 'binary_little_endian'"),
         ("ply\nelement vertex 0\nend_header\n", ":", "only ASCII PLY is supported, got format None"),
+        # a repeated element name: its rows must not be read against the first one's header
+        (PLY_MESH.replace("element face", "element vertex 1\nproperty float x\nelement face"),
+         ":7:", "PLY element 'vertex' declared twice"),
+        (PLY_MESH.replace("end_header", "element face 1\nproperty list uchar int i\nend_header"),
+         ":9:", "PLY element 'face' declared twice"),
     ],
-    ids=["magic", "magic-empty-file", "end-of-header", "property-first", "binary", "no-format"],
+    ids=["magic", "magic-empty-file", "end-of-header", "property-first", "binary", "no-format",
+         "vertex-twice", "face-twice"],
 )
 def test_ply_header_errors_name_the_file(tmp_path, capsys, text, where, message):
     path = tmp_path / "bad.ply"

@@ -51,6 +51,7 @@ def _runs() -> dict[str, list[str]]:
         "metrics-lattice-3d": [
             "metrics", "lattice3_p.xyz", "lattice3_g.xyz", "--out-dir", "report",
         ],
+        # 100 against 81 points: unequal sizes take the Sinkhorn solver
         "metrics-lattice-2d-emd-approx": [
             "metrics", "lattice2_p.xyz", "lattice2_g.xyz", "--emd-approx",
         ],
@@ -107,6 +108,10 @@ def _runs() -> dict[str, list[str]]:
         # whole files that the reader rejects, by name
         "metrics-xyz-4-columns": ["metrics", "wide.xyz", "gt.xyz"],
         "metrics-ply-no-vertices": ["metrics", "empty.ply", "gt.xyz"],
+        # a second element of the same name is rejected at its header line
+        "metrics-ply-mesh-duplicate-face-element": [
+            "metrics", "pred.xyz", "gt.xyz", "--mesh", "dup_face.ply",
+        ],
     }
     for kind in SCHEDULE_KINDS:
         runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
@@ -144,6 +149,11 @@ def _runs() -> dict[str, list[str]]:
     # both directions of every step's matching search the kd-tree
     runs["optimize-small-init-big-target"] = [
         "optimize", "--init", "pred.xyz", "--target", "c.xyz", "--steps", "300", "--out-dir", "run",
+    ]
+    # the uncertainty weights overflow within three steps of this size
+    runs["optimize-uncertainty-diverges"] = [
+        *BENCH, "--schedule", "uncertainty", "--step-size", "1000", "--steps", "3",
+        "--out-dir", "run",
     ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
@@ -206,7 +216,6 @@ def _write_inputs(root: Path) -> None:
         "lattice3_p.xyz": _lattice(5, 3, 0),
         "lattice3_g.xyz": _lattice(5, 3, 1),
         "lattice2_p.xyz": _lattice(10, 2, 0),
-        "lattice2_g.xyz": _lattice(10, 2, 1),
         "lattice4_p.xyz": _lattice(4, 3, 0),
         "lattice4_g.xyz": _lattice(4, 3, 1),
         "height.ply": _height_mesh(11),
@@ -235,6 +244,10 @@ def _write_inputs(root: Path) -> None:
     files["d.xyz"] = _cloud(rng, 80)
     files["e.xyz"] = _cloud(rng, 600)
     files["f.xyz"] = _cloud(rng, 600)
+    files["lattice2_g.xyz"] = _lattice(9, 2, 1)
+    face = "element face 1\nproperty list uchar int vertex_indices\n"
+    files["dup_face.ply"] = _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2"]).replace(
+        "end_header\n", face + "end_header\n") + "3 2 1 0\n"
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
