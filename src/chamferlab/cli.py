@@ -190,7 +190,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         target = read_cloud(args.target)
         inputs = [args.init, args.target]
 
-    weights = FcdWeights(args.alpha, args.beta) if args.objective == "fcd" else None
+    # --alpha/--beta apply only to fcd without a schedule; elsewhere they go unchecked
+    fixed_fcd = args.objective == "fcd" and args.schedule is None
+    weights = FcdWeights(args.alpha, args.beta) if fixed_fcd else None
     objective = ObjectiveSpec(
         kind=args.objective, weights=weights, r=args.r, dcd_temperature=args.dcd_temperature
     )

@@ -281,8 +281,10 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
         if reach_sq is None:  # from the radius of init and target about the target centroid
             reach_sq = DIVERGENCE_FACTOR**2 * max(spread_sq, _radius_sq(target.points, center))
         elif spread_sq > reach_sq:
+            # hypot does not square, so a finite offset past 1e154 reports a finite distance
+            spread = max(float(np.hypot.reduce(c.points - center, axis=1).max()) for c in clouds)
             raise DivergenceError(
-                f"a point lies {math.sqrt(spread_sq):.3e} from the target centroid, beyond "
+                f"a point lies {spread:.3e} from the target centroid, beyond "
                 f"{DIVERGENCE_FACTOR:.0e} x the radius of init and target, at step {step}"
             )
         value, grads = 0.0, []

@@ -7,7 +7,6 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
@@ -141,6 +140,8 @@ def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:
         raise InvalidInputError(
             f"exact EMD capped at {EMD_EXACT_MAX} points ({len(p)} given); use emd_approx"
         )
+    # imported here, not at module top: only an exact assignment needs scipy.optimize
+    from scipy.optimize import linear_sum_assignment
     cost = _pair_costs(p.points, g.points)
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())

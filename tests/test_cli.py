@@ -4,17 +4,19 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import chamferlab
 from chamferlab import PointCloud
 from chamferlab.cli import main
-from chamferlab.io import write_xyz
+from chamferlab.io import read_cloud, write_xyz
 
 from conftest import random_cloud
 
@@ -287,6 +289,32 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(" at step 1\n")
         assert not out.exists()
+
+    def test_far_divergence_names_a_finite_distance(self, tmp_path, capsys):
+        # the coordinates stay finite, but their squares pass the float range
+        out = tmp_path / "run"
+        code = main(
+            [
+                "optimize", "--benchmark", "clustered-grid", "--schedule", "uncertainty",
+                "--step-size", "1e300", "--steps", "5", "--out-dir", str(out),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        match = re.match(r"error: a point lies (\S+) from the target centroid", err)
+        assert match, err
+        assert 1e299 < float(match.group(1)) < math.inf
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--schedule", "linear"], ["--objective", "cd-l1"]], ids=["linear", "cd-l1"]
+    )
+    def test_unused_weights_are_not_validated(self, tmp_path, capsys, flags):
+        # --alpha/--beta apply only to fcd without a schedule
+        out = tmp_path / "run"
+        argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "5", *flags]
+        assert main([*argv, "--alpha", "-1", "--beta", "nan", "--out-dir", str(out)]) == 0
+        assert (out / "final.xyz").exists()
 
     def test_missing_inputs_exit_3(self, tmp_path, capsys):
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3
@@ -606,16 +634,17 @@ def test_report_parameters_must_be_positive_and_finite(tmp_path, capsys, rng, ar
     assert not out.exists()
 
 
-def test_module_entry_point_runs():
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     # the child interpreter finds the package where this one did, installed or not
     src = os.path.dirname(os.path.dirname(chamferlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chamferlab.cli", "schedule", "--kind", "static", "--T", "4", "--t", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+def test_module_entry_point_runs():
+    proc = _fresh_python("-m", "chamferlab.cli", "schedule", "--kind", "static", "--T", "4", "--t", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("epoch,alpha,beta")
 
@@ -627,3 +656,34 @@ def test_console_script_available():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "chamferlab" in proc.stdout
+
+
+# runs `metrics` on two files in a fresh interpreter, then reports on stderr
+# whether scipy.optimize was loaded (this interpreter has loaded it already)
+_METRICS_THEN_MODULES = """
+import sys
+import chamferlab.cli
+code = chamferlab.cli.main(["metrics", sys.argv[1], sys.argv[2]])
+print(code, "scipy.optimize" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestScipyOptimizeLoadedOnDemand:
+    def test_unequal_pair_does_not_load_it(self, tmp_path, rng):
+        a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        write_xyz(a, random_cloud(rng, 12))
+        write_xyz(b, random_cloud(rng, 10))
+        proc = _fresh_python("-c", _METRICS_THEN_MODULES, str(a), str(b))
+        assert proc.stderr == "0 False\n"
+        assert json.loads(proc.stdout)["emd"] is None
+
+    def test_equal_pair_loads_it_for_exact_emd(self, tmp_path, rng):
+        a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        write_xyz(a, random_cloud(rng, 12))
+        write_xyz(b, random_cloud(rng, 12))
+        proc = _fresh_python("-c", _METRICS_THEN_MODULES, str(a), str(b))
+        assert proc.stderr == "0 True\n"
+        p, g = read_cloud(a).points, read_cloud(b).points
+        cost = np.sqrt(((p[:, None] - g[None]) ** 2).sum(axis=-1))
+        rows, cols = linear_sum_assignment(cost)
+        assert json.loads(proc.stdout)["emd"] == float(cost[rows, cols].sum()) / len(p)

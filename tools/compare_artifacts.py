@@ -155,6 +155,15 @@ def _runs() -> dict[str, list[str]]:
         *BENCH, "--schedule", "uncertainty", "--step-size", "1000", "--steps", "3",
         "--out-dir", "run",
     ]
+    # past about 1e154 the squared coordinates overflow while the points stay finite
+    runs["optimize-uncertainty-diverges-far"] = [
+        *BENCH, "--schedule", "uncertainty", "--step-size", "1e300", "--steps", "5",
+        "--out-dir", "run",
+    ]
+    # a schedule leaves --alpha unused, so an invalid one is not an error
+    runs["optimize-schedule-ignores-alpha"] = [
+        *BENCH, "--schedule", "linear", "--alpha", "-1", "--steps", "5", "--out-dir", "run",
+    ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
     return runs
