@@ -29,8 +29,9 @@ class SweepConfig:
 
     The free point moves along (x, 0); every abscissa must keep it farther
     from the first target than the matched point is (so the matched pairing
-    stays stable), and the midpoint between the targets is excluded because
-    the nearest-neighbor assignment is ambiguous there.
+    stays stable) and strictly between the targets, and the midpoint between
+    the targets is excluded because the nearest-neighbor assignment is
+    ambiguous there.
     """
 
     g1: np.ndarray
@@ -50,29 +51,34 @@ class SweepConfig:
             raise InvalidInputError("xs must be strictly increasing")
         object.__setattr__(self, "xs", xs)
         anchor_dist = np.linalg.norm(self.p1 - self.g1)
+        span = self.g2 - self.g1
         for x in xs:
             p2 = np.array([x, 0.0])
-            if np.linalg.norm(p2 - self.g1) <= anchor_dist:
+            d1 = np.linalg.norm(p2 - self.g1)
+            if d1 <= anchor_dist:
                 raise InvalidInputError(
                     f"x={x} violates the validity condition |p2-g1| > |p1-g1|"
                 )
-            d1 = np.linalg.norm(p2 - self.g1)
-            d2 = np.linalg.norm(p2 - self.g2)
-            if d1 == d2:
+            if d1 == np.linalg.norm(p2 - self.g2):
                 raise InvalidInputError(f"x={x} lies on the ambiguous midpoint; exclude it")
+            # closed_form_gradients' test, so that sweep() accepts every x
+            if not 0.0 < np.dot(p2 - self.g1, span) / np.dot(span, span) < 1.0:
+                raise InvalidInputError(f"x={x} does not lie strictly between g1 and g2")
 
 
-def default_sweep_config(weights: FcdWeights = FcdWeights(1.0, 2.0)) -> SweepConfig:
-    """Canonical sweep: targets (0,0) and (4,0), matched point (0.5,0),
-    free point from 0.6 to 3.4 in 0.1 steps with the midpoint 2.0 excluded."""
-    xs = np.array([i / 10 for i in range(6, 35) if i != 20])
-    return SweepConfig(
-        g1=np.array([0.0, 0.0]),
-        g2=np.array([4.0, 0.0]),
-        p1=np.array([0.5, 0.0]),
-        xs=xs,
-        weights=weights,
-    )
+def default_sweep_config(weights: FcdWeights = FcdWeights(1.0, 2.0), x_min: float = 0.6,
+                         x_max: float = 3.4, x_step: float = 0.1) -> SweepConfig:
+    """Canonical sweep: targets (0,0) and (4,0), matched point (0.5,0), and the free
+    point at x_min + k * x_step up to x_max (with 1e-9 of a step for rounding), less
+    any abscissa within 1e-9 of the midpoint 2.0."""
+    if not np.isfinite((x_min, x_max, x_step)).all() or x_min >= x_max or x_step <= 0:
+        raise InvalidInputError(
+            f"invalid sweep range: x_min={x_min}, x_max={x_max}, x_step={x_step}"
+        )
+    count = int(np.floor((x_max - x_min) / x_step + 1e-9))
+    xs = x_min + x_step * np.arange(count + 1)
+    return SweepConfig(g1=np.array([0.0, 0.0]), g2=np.array([4.0, 0.0]), p1=np.array([0.5, 0.0]),
+                       xs=xs[np.abs(xs - 2.0) > 1e-9], weights=weights)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analysis import build_ambiguity_pair, default_sweep_config, sweep, sweep_to_csv, SweepConfig
+from .analysis import build_ambiguity_pair, default_sweep_config, sweep, sweep_to_csv
 from .cloud import PointCloud
 from .descent import (
     OBJECTIVE_KINDS,
@@ -24,19 +22,7 @@ from .descent import (
 )
 from .errors import InvalidInputError, NumericalError
 from .io import read_cloud, read_ply_mesh, write_xyz
-from .metrics import (
-    EMD_EXACT_MAX,
-    MetricReport,
-    chamfer_l1,
-    chamfer_l2,
-    dcd,
-    emd_approx,
-    emd_exact,
-    fidelity,
-    fscore,
-    hausdorff,
-    point_to_mesh,
-)
+from .metrics import EMD_EXACT_MAX, MetricReport, report
 from .objective import SCHEDULE_KINDS, FcdWeights, ScheduleSpec, UncertaintyState, schedule_weights
 
 EXIT_OK = 0
@@ -99,38 +85,11 @@ def _schedule_from_args(args: argparse.Namespace, kind: str) -> ScheduleSpec:
     return ScheduleSpec.from_dict({**vars(args), "kind": kind})
 
 
-def _named(metric: str, thunk):
-    """Evaluate one metric, prefixing validation errors with its name."""
-    try:
-        return thunk()
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{metric}: {exc}") from exc
-
-
-def _emd_value(pred: PointCloud, gt: PointCloud, args: argparse.Namespace) -> float | None:
-    if len(pred) == len(gt) and len(pred) <= EMD_EXACT_MAX:
-        return emd_exact(pred, gt)
-    if args.emd_approx:
-        return emd_approx(pred, gt, args.emd_iterations, args.emd_epsilon)
-    if len(pred) == len(gt):
-        raise InvalidInputError(
-            f"clouds exceed the exact-solver cap of {EMD_EXACT_MAX} points; pass --emd-approx"
-        )
-    return None  # sizes differ and no approximate solver requested
-
-
-def _compute_report(pred: PointCloud, gt: PointCloud, args: argparse.Namespace,
-                    mesh=None, partial=None) -> MetricReport:
-    return MetricReport(
-        cd_l1=_named("cd_l1", lambda: chamfer_l1(pred, gt)),
-        cd_l2=_named("cd_l2", lambda: chamfer_l2(pred, gt)),
-        dcd=_named("dcd", lambda: dcd(pred, gt, args.dcd_temperature)),
-        emd=_named("emd", lambda: _emd_value(pred, gt, args)),
-        fscore=_named("fscore", lambda: fscore(pred, gt, args.fscore_threshold)),
-        hausdorff=_named("hausdorff", lambda: hausdorff(pred, gt)),
-        p2f=None if mesh is None else _named("p2f", lambda: point_to_mesh(pred, mesh)),
-        fidelity=None if partial is None else _named("fidelity", lambda: fidelity(partial, pred)),
-    )
+def _report_from_args(args: argparse.Namespace, pred, gt, mesh=None, partial=None) -> MetricReport:
+    """The report the --fscore-threshold/--dcd-temperature/--emd-* flags describe."""
+    sinkhorn = (args.emd_iterations, args.emd_epsilon) if args.emd_approx else None
+    return report(pred, gt, args.fscore_threshold, args.dcd_temperature, sinkhorn,
+                  mesh=mesh, partial=partial)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -138,14 +97,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     gt = read_cloud(args.gt)
     mesh = read_ply_mesh(args.mesh) if args.mesh else None
     partial = read_cloud(args.partial_input) if args.partial_input else None
-    report = _compute_report(pred, gt, args, mesh=mesh, partial=partial)
-    print(report.to_json())
-    csv_text = report.csv_header() + "\n" + report.csv_row() + "\n"
+    result = _report_from_args(args, pred, gt, mesh=mesh, partial=partial)
+    print(result.to_json())
+    csv_text = result.csv_header() + "\n" + result.csv_row() + "\n"
     if args.csv:
         _write(Path(args.csv), csv_text)
     if args.out_dir:
         inputs = [args.pred, args.gt] + [p for p in (args.mesh, args.partial_input) if p]
-        _emit_dir(args, {"report.json": report.to_json() + "\n", "report.csv": csv_text}, inputs)
+        _emit_dir(args, {"report.json": result.to_json() + "\n", "report.csv": csv_text}, inputs)
     return EXIT_OK
 
 
@@ -162,17 +121,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     weights = FcdWeights(args.alpha, args.beta)
-    bounds = (args.x_min, args.x_max, args.x_step)
-    if not np.isfinite(bounds).all() or args.x_min >= args.x_max or args.x_step <= 0:
-        raise InvalidInputError(
-            f"invalid sweep range: x_min={args.x_min}, x_max={args.x_max}, x_step={args.x_step}"
-        )
-    base = default_sweep_config(weights)
-    count = int(round((args.x_max - args.x_min) / args.x_step))
-    xs = args.x_min + args.x_step * np.arange(count + 1)
-    midpoint = 0.5 * (base.g1[0] + base.g2[0])
-    xs = xs[np.abs(xs - midpoint) > 1e-9]
-    config = SweepConfig(g1=base.g1, g2=base.g2, p1=base.p1, xs=xs, weights=weights)
+    config = default_sweep_config(weights, args.x_min, args.x_max, args.x_step)
     _emit(args, sweep_to_csv(sweep(config), config), [])
     return EXIT_OK
 
@@ -235,8 +184,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         pairs.append((pred_path, gt_path))
 
     def row(pair: tuple[Path, Path]) -> str:
-        report = _compute_report(read_cloud(pair[0]), read_cloud(pair[1]), args)
-        return f"{pair[0].name},{report.csv_row()}"
+        result = _report_from_args(args, read_cloud(pair[0]), read_cloud(pair[1]))
+        return f"{pair[0].name},{result.csv_row()}"
 
     lines = ["file," + MetricReport.csv_header()]
     if pairs:
@@ -247,10 +196,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_ambiguity(args: argparse.Namespace) -> int:
-    clustered, uniform, target, report = build_ambiguity_pair(
+    clustered, uniform, target, result = build_ambiguity_pair(
         args.n, args.seed, temperature=args.temperature
     )
-    report_json = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    report_json = json.dumps(asdict(result), sort_keys=True, indent=2) + "\n"
     _emit_dir(args, {"clustered.xyz": clustered, "uniform.xyz": uniform, "target.xyz": target,
                      "report.json": report_json}, [])
     return EXIT_OK

@@ -359,3 +359,41 @@ class MetricReport:
 
     def csv_row(self) -> str:
         return ",".join("" if v is None else repr(float(v)) for v in self.to_dict().values())
+
+
+def report(pred: PointCloud, gt: PointCloud, fscore_threshold: float, dcd_temperature: float,
+           sinkhorn: tuple[int, float] | None = None, *, mesh: TriangleMesh | None = None,
+           partial: PointCloud | None = None) -> MetricReport:
+    """Every metric of pred against gt, in field order; p2f needs ``mesh``, fidelity
+    ``partial``. EMD is exact for equal sizes of at most EMD_EXACT_MAX points, else
+    ``emd_approx(pred, gt, *sinkhorn)``; without ``sinkhorn`` it is None for unequal
+    sizes and an error for equal ones. InvalidInputError names the metric that raised it.
+    """
+    def emd() -> float | None:
+        if len(pred) == len(gt) and len(pred) <= EMD_EXACT_MAX:
+            return emd_exact(pred, gt)
+        if sinkhorn is not None:
+            return emd_approx(pred, gt, *sinkhorn)
+        if len(pred) == len(gt):
+            raise InvalidInputError(
+                f"clouds exceed the exact-solver cap of {EMD_EXACT_MAX} points; pass --emd-approx"
+            )
+        return None  # sizes differ and no approximate solver requested
+
+    metrics = {
+        "cd_l1": lambda: chamfer_l1(pred, gt),
+        "cd_l2": lambda: chamfer_l2(pred, gt),
+        "dcd": lambda: dcd(pred, gt, dcd_temperature),
+        "emd": emd,
+        "fscore": lambda: fscore(pred, gt, fscore_threshold),
+        "hausdorff": lambda: hausdorff(pred, gt),
+        "p2f": None if mesh is None else lambda: point_to_mesh(pred, mesh),
+        "fidelity": None if partial is None else lambda: fidelity(partial, pred),
+    }
+    values = {}
+    for name, metric in metrics.items():
+        try:
+            values[name] = None if metric is None else metric()
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{name}: {exc}") from exc
+    return MetricReport(**values)

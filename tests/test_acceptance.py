@@ -300,14 +300,18 @@ def test_criterion_09_cost_parity():
     chamfer_l1(p, g)
     fcd(p, g, weights, 1)  # warm-up both paths
 
-    # one ratio per adjacent pair of calls, so host jitter that spans a pair cancels
+    # one ratio per adjacent pair of calls, so host jitter that spans a pair
+    # cancels; the side that runs first alternates, so an advantage of going
+    # first or second favours neither side
+    calls = {"fcd": lambda: fcd(p, g, weights, 1), "chamfer_l1": lambda: chamfer_l1(p, g)}
     ratios = []
-    for _ in range(15):
-        t0 = time.perf_counter()
-        fcd(p, g, weights, 1)
-        t1 = time.perf_counter()
-        chamfer_l1(p, g)
-        ratios.append((t1 - t0) / (time.perf_counter() - t1))
+    for k in range(15):
+        elapsed = {}
+        for name in sorted(calls, reverse=k % 2 == 1):
+            start = time.perf_counter()
+            calls[name]()
+            elapsed[name] = time.perf_counter() - start
+        ratios.append(elapsed["fcd"] / elapsed["chamfer_l1"])
     ratio = statistics.median(ratios)
     assert abs(ratio - 1.0) <= 0.05, f"cost ratio {ratio:.4f}"
 

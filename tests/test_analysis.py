@@ -127,6 +127,36 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             SweepConfig(base.g1, base.g2, base.p1, np.array([1.0, 2.0]), base.weights)
 
+    def test_rejects_abscissae_at_or_past_the_far_target(self):
+        base = default_sweep_config()
+        with pytest.raises(InvalidInputError, match=r"^x=4\.0 does not lie strictly between"):
+            SweepConfig(base.g1, base.g2, base.p1, [3.0, 4.0, 4.5], base.weights)
+        with pytest.raises(InvalidInputError, match=r"^x=4\.5 "):
+            SweepConfig(base.g1, base.g2, base.p1, [3.0, 4.5], base.weights)
+
+    def test_default_abscissae_are_steps_from_x_min(self):
+        xs = 0.6 + 0.1 * np.arange(29)
+        expected = xs[np.abs(xs - 2.0) > 1e-9]
+        assert default_sweep_config().xs.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("x_min, x_max, x_step, expected", [
+        (0.6, 0.66, 0.1, [0.6]),
+        (3.0, 3.96, 0.5, [3.0, 3.5]),
+        (1.5, 2.5, 0.5, [1.5, 2.5]),  # the midpoint on the grid is dropped
+        (0.6, 3.4, 2.8, [0.6, 3.4]),
+    ])
+    def test_abscissae_stop_at_x_max(self, x_min, x_max, x_step, expected):
+        config = default_sweep_config(FcdWeights(1.0, 2.0), x_min, x_max, x_step)
+        assert config.xs.tolist() == expected
+
+    @pytest.mark.parametrize("x_min, x_max, x_step", [
+        (3.0, 1.0, 0.1), (1.0, 1.0, 0.1), (0.6, 3.4, 0.0), (0.6, 3.4, -0.1),
+        (0.6, np.inf, 0.1), (np.nan, 3.4, 0.1), (0.6, 3.4, np.nan),
+    ])
+    def test_rejects_invalid_range(self, x_min, x_max, x_step):
+        with pytest.raises(InvalidInputError, match="^invalid sweep range: "):
+            default_sweep_config(FcdWeights(1.0, 2.0), x_min, x_max, x_step)
+
     def test_csv_layout(self):
         config = default_sweep_config()
         text = sweep_to_csv(sweep(config), config)

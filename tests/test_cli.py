@@ -14,7 +14,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import chamferlab
-from chamferlab import PointCloud
+from chamferlab import PointCloud, default_sweep_config, sweep
+from chamferlab.analysis import sweep_to_csv
 from chamferlab.cli import main
 from chamferlab.io import read_cloud, write_xyz
 
@@ -182,6 +183,15 @@ class TestSweepCommand:
             grad_cd = float(line.split(",")[5])
             if x < 2.0:
                 assert grad_cd == 0.0
+
+    def test_default_sweep_is_the_library_default(self, capsys):
+        assert main(["sweep"]) == 0
+        config = default_sweep_config()
+        assert capsys.readouterr().out == sweep_to_csv(sweep(config), config)
+
+    def test_abscissa_at_far_target_exits_3_naming_it(self, capsys):
+        assert main(["sweep", "--x-min", "3.0", "--x-max", "4.5", "--x-step", "0.5"]) == 3
+        assert capsys.readouterr().err.startswith("error: x=4.0 does not lie strictly between")
 
     def test_invalid_range_exits_3(self, capsys):
         assert main(["sweep", "--x-min", "3.0", "--x-max", "1.0"]) == 3

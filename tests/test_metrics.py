@@ -24,6 +24,7 @@ from chamferlab import (
     fscore,
     hausdorff,
     point_to_mesh,
+    report,
 )
 from chamferlab import metrics
 from chamferlab.cloud import Matching, _row_sq_dists
@@ -612,6 +613,65 @@ class TestSharedMatching:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(InvalidInputError):
             Matching(random_cloud(rng, 3, dim=2), random_cloud(rng, 3, dim=3))
+
+
+class TestReport:
+    """``report`` holds each standalone metric's value, bit for bit, under every EMD rule."""
+
+    @staticmethod
+    def standalone(pred, gt, emd, mesh=None, partial=None) -> MetricReport:
+        return MetricReport(
+            cd_l1=chamfer_l1(pred, gt),
+            cd_l2=chamfer_l2(pred, gt),
+            dcd=dcd(pred, gt, 30.0),
+            emd=emd,
+            fscore=fscore(pred, gt, 0.2),
+            hausdorff=hausdorff(pred, gt),
+            p2f=None if mesh is None else point_to_mesh(pred, mesh),
+            fidelity=None if partial is None else fidelity(partial, pred),
+        )
+
+    @pytest.mark.parametrize("sinkhorn", [None, (50, 0.05)])
+    def test_equal_sizes_under_the_cap_take_exact_emd(self, rng, sinkhorn):
+        pred, gt, partial = random_cloud(rng, 40), random_cloud(rng, 40), random_cloud(rng, 15)
+        mesh = height_mesh(5)
+        got = report(pred, gt, 0.2, 30.0, sinkhorn, mesh=mesh, partial=partial)
+        assert got == self.standalone(pred, gt, emd_exact(pred, gt), mesh, partial)
+
+    def test_unequal_sizes_take_sinkhorn(self, rng):
+        pred, gt = random_cloud(rng, 40), random_cloud(rng, 55)
+        got = report(pred, gt, 0.2, 30.0, (50, 0.05))
+        assert got == self.standalone(pred, gt, emd_approx(pred, gt, 50, 0.05))
+
+    def test_equal_sizes_over_the_cap_take_sinkhorn(self, rng):
+        n = metrics.EMD_EXACT_MAX + 1
+        pred, gt = random_cloud(rng, n), random_cloud(rng, n)
+        got = report(pred, gt, 0.2, 30.0, (2, 0.05))
+        assert got == self.standalone(pred, gt, emd_approx(pred, gt, 2, 0.05))
+
+    def test_unequal_sizes_without_sinkhorn_have_no_emd(self, rng):
+        pred, gt = random_cloud(rng, 40), random_cloud(rng, 55)
+        assert report(pred, gt, 0.2, 30.0) == self.standalone(pred, gt, None)
+
+    def test_equal_sizes_over_the_cap_without_sinkhorn_are_an_error(self, rng):
+        n = metrics.EMD_EXACT_MAX + 1
+        pred, gt = random_cloud(rng, n), random_cloud(rng, n)
+        with pytest.raises(InvalidInputError, match=r"^emd: clouds exceed the exact-solver cap"):
+            report(pred, gt, 0.2, 30.0)
+
+    def test_first_rejected_parameter_names_its_metric(self, rng):
+        pred, gt = random_cloud(rng, 4), random_cloud(rng, 6)
+        with pytest.raises(InvalidInputError, match=r"^dcd: temperature"):
+            report(pred, gt, -1.0, float("nan"), (10, 0.0))
+        with pytest.raises(InvalidInputError, match=r"^emd: epsilon"):
+            report(pred, gt, -1.0, 30.0, (10, 0.0))
+
+    @pytest.mark.parametrize("with_partial, passes", [(False, 10), (True, 11)])
+    def test_one_matching_per_metric(self, rng, nn_calls, with_partial, passes):
+        pred, gt = random_cloud(rng, 90), random_cloud(rng, 80)
+        partial = random_cloud(rng, 20) if with_partial else None
+        report(pred, gt, 0.2, 30.0, partial=partial)
+        assert len(nn_calls) == passes
 
 
 class TestMetricReport:

@@ -123,10 +123,24 @@ def _runs() -> dict[str, list[str]]:
     runs["sweep-x-max-inf"] = ["sweep", "--x-max", "inf"]
     runs["sweep-x-step-nan"] = ["sweep", "--x-step", "nan"]
     runs["sweep-x-min-nan"] = ["sweep", "--x-min", "nan"]
+    # the midpoint 2.0 falls on the grid and is dropped
+    runs["sweep-midpoint-on-grid"] = ["sweep", "--x-min", "1.5", "--x-max", "2.5", "--x-step", "0.5"]
+    # x_max lies short of the next step, which the sweep must not take: 0.7 in
+    # the first, the far target 4.0 in the second
+    runs["sweep-x-max-between-steps"] = [
+        "sweep", "--x-min", "0.6", "--x-max", "0.66", "--x-step", "0.1",
+    ]
+    runs["sweep-x-max-short-of-target"] = [
+        "sweep", "--x-min", "3.0", "--x-max", "3.96", "--x-step", "0.5",
+    ]
+    # an abscissa on the far target is rejected when the sweep is set up, naming x
+    runs["sweep-x-at-far-target"] = ["sweep", "--x-min", "3.0", "--x-max", "4.5", "--x-step", "0.5"]
     runs["batch"] = ["batch", "--dir", "pairs"]
     runs["batch-out-parallel"] = [
         "batch", "--dir", "pairs", "--out", "table.csv", "--parallelism", "2",
     ]
+    # the first rejected report parameter names its metric
+    runs["batch-dcd-temperature-0"] = ["batch", "--dir", "pairs", "--dcd-temperature", "0"]
     runs["ambiguity"] = ["ambiguity", "--out-dir", "ambiguity"]
     optimize = {
         "default": [],
