@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", default="fcd", choices=OBJECTIVE_KINDS)
     p.add_argument("--alpha", type=float, default=1.0, help="fcd weight, unused under --schedule")
     p.add_argument("--beta", type=float, default=2.0, help="fcd weight, unused under --schedule")
-    p.add_argument("--r", type=int, default=1, choices=(1, 2))
+    p.add_argument("--r", type=int, default=1, choices=(1, 2),
+                   help="fcd distance order, unused by cd-l1, cd-l2 and dcd-loss")
     p.add_argument("--dcd-temperature", type=float, default=1000.0,
                    help="the dcd-loss objective's temperature (the trace's dcd column uses 1000)")
     p.add_argument("--schedule", choices=SCHEDULE_KINDS, help="weight schedule for fcd")

@@ -183,6 +183,11 @@ def nearest_neighbors(
     return _nearest_in_block(block)
 
 
+def _check_pair(p: PointCloud, g: PointCloud) -> None:
+    if p.dim != g.dim:
+        raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
+
+
 class Matching:
     """Both nearest-neighbor directions between a prediction p and a target g.
 
@@ -198,8 +203,7 @@ class Matching:
     """
 
     def __init__(self, p: PointCloud, g: PointCloud):
-        if p.dim != g.dim:
-            raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
+        _check_pair(p, g)
         self.p = p
         self.g = g
         self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = self._block = None

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cloud import Matching, PointCloud, subsample
+from .cloud import Matching, PointCloud, _check_pair, subsample
 from .errors import DivergenceError, InvalidInputError
 from .metrics import EMD_EXACT_MAX, cd_global, cd_local, chamfer_l1, dcd, emd_exact
 from .metrics import _check_positive, _check_r
@@ -336,8 +336,7 @@ def optimize(
     the uncertainty weights become non-finite, or if a point moves farther from
     the target centroid than 1e6 times the radius of init and target about it.
     """
-    if init.dim != target.dim:
-        raise InvalidInputError(f"dimension mismatch: {init.dim} vs {target.dim}")
+    _check_pair(init, target)
     pin_idx = support_pinning(init, pinned) if pinned is not None else np.empty(0, dtype=np.intp)
     stages = [(target, _Loss(objective, schedule))]
     (final,), trace = _descend(_FreePoints(init, pin_idx), stages, config)
@@ -365,8 +364,7 @@ def optimize_hierarchical(
         raise InvalidInputError(
             f"init_coarse has {len(init_coarse)} points, hierarchy expects {hierarchy.coarse_count}"
         )
-    if init_coarse.dim != target.dim:
-        raise InvalidInputError(f"dimension mismatch: {init_coarse.dim} vs {target.dim}")
+    _check_pair(init_coarse, target)
     if hierarchy.coarse_count > len(target):
         raise InvalidInputError("coarse_count exceeds target size")
 

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
-from .cloud import Matching, PointCloud, TriangleMesh, _row_sq_dists
+from .cloud import Matching, PointCloud, TriangleMesh, _check_pair, _row_sq_dists
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError
 
@@ -22,11 +22,6 @@ SCALING_RANGE = 1e100
 P2M_SLACK = 2.0**-40
 # the pairs (point-triangle, or cells of a dense EMD matrix) built at once
 PAIR_CHUNK = 1 << 16
-
-
-def _check_pair(p: PointCloud, g: PointCloud) -> None:
-    if p.dim != g.dim:
-        raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -164,12 +159,14 @@ def emd_approx(
     bound on the exact value and shrinks toward it as iterations grow. The
     value is a mean per unit mass, comparable to ``emd_exact(..., mean=True)``.
 
-    The iterates are those of log-domain Sinkhorn (f = h = 0, h updated first),
-    run in the scaling domain: the potentials are f + eps*log(u) and
-    h + eps*log(v), and each half-step is one matrix-vector product with the
-    kernel exp((f + h - C) / eps). A half-step whose product leaves
-    SCALING_RANGE runs in the log domain instead; f and h then absorb the
-    scalings and the kernel is rebuilt (Schmitzer 2019, "Stabilized sparse
+    The iterates are those of log-domain Sinkhorn (potentials f = h = 0, h
+    updated first), run in the scaling domain: side 0 holds the rows (f, u),
+    side 1 the columns (h, v), and the potentials are f + eps*log(u) and
+    h + eps*log(v). Each iteration applies one half-step to side 1, then to
+    side 0: one matrix-vector product of the kernel exp((f + h - C) / eps) with
+    the other side's scaled mass. A half-step whose product leaves
+    SCALING_RANGE runs in the log domain instead; the potentials then absorb
+    the scalings and the kernel is rebuilt (Schmitzer 2019, "Stabilized sparse
     scaling algorithms for entropy regularized transport problems"). The cost
     and the kernel are the only (n, m) matrices: the kernel is rebuilt in place
     and becomes the plan by scaling in place.
@@ -180,53 +177,43 @@ def emd_approx(
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     n, m = len(p), len(g)
     cost = _pair_costs(p.points, g.points)
-    a = np.full(n, 1.0 / n)
-    b = np.full(m, 1.0 / m)
-    log_a = np.log(a)
-    log_b = np.log(b)
-    f = np.zeros(n)
-    h = np.zeros(m)
-    u = np.ones(n)
-    v = np.ones(m)
+    mass = (1.0 / n, 1.0 / m)  # the uniform marginals, per point of each side
+    pot = [np.zeros(n), np.zeros(m)]  # f, h
+    scale = [np.ones(n), np.ones(m)]  # u, v
     kernel = np.empty((n, m))
 
-    def fill_kernel(f, h):
+    def fill_kernel():
         # exp((f + h - C) / eps), in place: one matrix besides the cost
-        np.add.outer(f, h, out=kernel)
+        np.add.outer(pot[0], pot[1], out=kernel)
         np.subtract(kernel, cost, out=kernel)
         np.divide(kernel, epsilon, out=kernel)
         np.exp(kernel, out=kernel)
 
-    fill_kernel(f, h)
+    fill_kernel()
     for _ in range(iterations):
-        s = kernel.T @ (a * u)
-        if _in_range(s):
-            v = 1.0 / s
-        else:
-            f = f + epsilon * np.log(u)
-            h = -epsilon * logsumexp((f[:, None] - cost) / epsilon + log_a[:, None], axis=0)
-            u, v = np.ones(n), np.ones(m)
-            fill_kernel(f, h)
-        s = kernel @ (b * v)
-        if _in_range(s):
-            u = 1.0 / s
-        else:
-            h = h + epsilon * np.log(v)
-            f = -epsilon * logsumexp((h[None, :] - cost) / epsilon + log_b[None, :], axis=1)
-            u, v = np.ones(n), np.ones(m)
-            fill_kernel(f, h)
-    plan = kernel  # (a*u) K (b*v), scaled in place
-    plan *= (a * u)[:, None]
-    plan *= (b * v)[None, :]
+        for side in (1, 0):
+            other = 1 - side
+            s = (kernel.T if side else kernel) @ (mass[other] * scale[other])
+            if _in_range(s):
+                scale[side] = 1.0 / s
+            else:
+                pot[other] = pot[other] + epsilon * np.log(scale[other])
+                pot[side] = -epsilon * logsumexp(
+                    (np.expand_dims(pot[other], side) - cost) / epsilon + np.log(mass[other]),
+                    axis=other)
+                scale = [np.ones(n), np.ones(m)]
+                fill_kernel()
+    plan = kernel  # (mass*u) K (mass*v), scaled in place
+    plan *= (mass[0] * scale[0])[:, None]
+    plan *= mass[1] * scale[1]
 
-    # round to a feasible plan: scale rows/columns down to their marginals,
-    # then restore missing mass with a rank-one patch
-    row = plan.sum(axis=1)
-    plan *= np.minimum(a / np.maximum(row, 1e-300), 1.0)[:, None]
-    col = plan.sum(axis=0)
-    plan *= np.minimum(b / np.maximum(col, 1e-300), 1.0)[None, :]
-    err_a = a - plan.sum(axis=1)
-    err_b = b - plan.sum(axis=0)
+    # round to a feasible plan: scale rows, then columns, down to their
+    # marginals, then restore missing mass with a rank-one patch
+    for axis in (1, 0):
+        total = plan.sum(axis=axis)
+        plan *= np.expand_dims(np.minimum(mass[1 - axis] / np.maximum(total, 1e-300), 1.0), axis)
+    err_a = mass[0] - plan.sum(axis=1)
+    err_b = mass[1] - plan.sum(axis=0)
     missing = err_a.sum()
     if missing > 0:
         for blk in _row_blocks(n, m):
@@ -376,7 +363,8 @@ def report(pred: PointCloud, gt: PointCloud, fscore_threshold: float, dcd_temper
             return emd_approx(pred, gt, *sinkhorn)
         if len(pred) == len(gt):
             raise InvalidInputError(
-                f"clouds exceed the exact-solver cap of {EMD_EXACT_MAX} points; pass --emd-approx"
+                f"clouds exceed the exact-solver cap of {EMD_EXACT_MAX} points; "
+                "pass sinkhorn=(iterations, epsilon), or --emd-approx on the command line"
             )
         return None  # sizes differ and no approximate solver requested
 

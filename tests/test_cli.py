@@ -326,6 +326,17 @@ class TestOptimizeCommand:
         assert main([*argv, "--alpha", "-1", "--beta", "nan", "--out-dir", str(out)]) == 0
         assert (out / "final.xyz").exists()
 
+    def test_r_is_unused_by_cd_l1(self, tmp_path, capsys):
+        # cd-l1 fixes its own distance order, so --r changes no output
+        argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "20",
+                "--record-every", "5", "--objective", "cd-l1"]
+        runs = []
+        for r in ("1", "2"):
+            out = tmp_path / f"r{r}"
+            assert main([*argv, "--r", r, "--out-dir", str(out)]) == 0
+            runs.append({name: (out / name).read_bytes() for name in ("final.xyz", "trace.csv")})
+        assert runs[0] == runs[1]
+
     def test_missing_inputs_exit_3(self, tmp_path, capsys):
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3
 

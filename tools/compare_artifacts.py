@@ -62,6 +62,8 @@ def _runs() -> dict[str, list[str]]:
         ],
         # 600 points per side: the exact-EMD cost matrix is built in several row blocks
         "metrics-emd-exact-row-blocks": ["metrics", "e.xyz", "f.xyz"],
+        # equal sizes over the exact-solver cap need --emd-approx: exit 3
+        "metrics-over-cap-without-emd-approx": ["metrics", "big_p.xyz", "big_g.xyz"],
         "metrics-tree-random": ["metrics", "c.xyz", "d.xyz", "--csv", "report.csv"],
         # 64 points per side: one distance block serves both directions, with
         # exact ties between up to 8 candidates in each
@@ -267,6 +269,8 @@ def _write_inputs(root: Path) -> None:
     files["d.xyz"] = _cloud(rng, 80)
     files["e.xyz"] = _cloud(rng, 600)
     files["f.xyz"] = _cloud(rng, 600)
+    files["big_p.xyz"] = _cloud(rng, 1025)
+    files["big_g.xyz"] = _cloud(rng, 1025)
     files["lattice2_g.xyz"] = _lattice(9, 2, 1)
     face = "element face 1\nproperty list uchar int vertex_indices\n"
     files["dup_face.ply"] = _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2"]).replace(
