@@ -82,7 +82,8 @@ def _emit_dir(args: argparse.Namespace, files: dict[str, str | PointCloud],
 
 def _schedule_from_args(args: argparse.Namespace, kind: str) -> ScheduleSpec:
     """The schedule the --theta/--tau/--t/--T/--sigma flags describe for this kind."""
-    return ScheduleSpec.from_dict({**vars(args), "kind": kind})
+    return ScheduleSpec(kind=kind, theta=args.theta, tau=args.tau, t=args.t, T=args.T,
+                        sigma=args.sigma)
 
 
 def _report_from_args(args: argparse.Namespace, pred, gt, mesh=None, partial=None) -> MetricReport:
@@ -128,6 +129,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     if args.benchmark:
+        if args.init or args.target:
+            raise InvalidInputError("--benchmark builds both clouds; drop --init and --target")
         if args.benchmark != "clustered-grid":
             raise InvalidInputError(f"unknown benchmark {args.benchmark!r}")
         init, target = clustered_grid_benchmark(seed=args.seed)
@@ -166,14 +169,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     if args.parallelism < 1:
         raise InvalidInputError(f"--parallelism must be >= 1, got {args.parallelism}")
+    if not args.pred_suffix:
+        raise InvalidInputError("--pred-suffix must not be empty")
     root = Path(args.dir)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
     pred_paths = sorted(root.glob(args.pred_glob))
     pairs = []
     for pred_path in pred_paths:
-        gt_name = pred_path.name.replace(args.pred_suffix, args.gt_suffix)
-        if gt_name == pred_path.name:
+        head, found, tail = pred_path.name.rpartition(args.pred_suffix)
+        gt_name = head + args.gt_suffix + tail  # only the last occurrence changes
+        if not found or gt_name == pred_path.name:
             raise InvalidInputError(
                 f"{pred_path.name}: cannot derive ground-truth name "
                 f"(suffix {args.pred_suffix!r} not found)"
@@ -312,6 +318,8 @@ class _ConfigAction(argparse.Action):
     expanded = False
 
     def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error("--config may be given only once")
         if values and not self.expanded:  # an empty path names no file
             raise _ConfigFound(self, values)
         setattr(namespace, self.dest, values)

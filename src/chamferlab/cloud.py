@@ -118,11 +118,6 @@ def build_index(cloud: PointCloud) -> NNIndex:
     return NNIndex(cloud)
 
 
-def nearest(index: NNIndex, q) -> tuple[int, float]:
-    """Exact nearest neighbor of q among the indexed points."""
-    return index.query(q)
-
-
 def _nearest_in_block(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise nearest neighbors of a (queries x targets) squared-distance block."""
     idx = np.argmin(sq, axis=1)  # first minimum = lowest index

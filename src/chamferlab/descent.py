@@ -111,10 +111,6 @@ class OptimizationTrace:
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
-    @property
-    def final(self) -> TraceRecord:
-        return self.records[-1]
-
 
 @dataclass(frozen=True)
 class HierarchySpec:
@@ -124,19 +120,14 @@ class HierarchySpec:
     free variables initialized near zero.
     """
 
-    coarse_count: int
     children_per_coarse: int
     offset_scale: float = 1e-3
 
     def __post_init__(self):
-        if self.coarse_count < 1 or self.children_per_coarse < 1:
-            raise InvalidInputError("hierarchy sizes must be >= 1")
+        if self.children_per_coarse < 1:
+            raise InvalidInputError("children_per_coarse must be >= 1")
         if not 0 <= self.offset_scale < math.inf:
             raise InvalidInputError(f"offset_scale must be >= 0 and finite, got {self.offset_scale}")
-
-    @property
-    def fine_count(self) -> int:
-        return self.coarse_count * self.children_per_coarse
 
 
 def support_pinning(cloud: PointCloud, pinned) -> np.ndarray:
@@ -360,17 +351,15 @@ def optimize_hierarchical(
     weights. Coarse coordinates and offsets descend jointly, under the same
     update rule, uncertainty update and divergence guard as ``optimize``.
     """
-    if len(init_coarse) != hierarchy.coarse_count:
-        raise InvalidInputError(
-            f"init_coarse has {len(init_coarse)} points, hierarchy expects {hierarchy.coarse_count}"
-        )
     _check_pair(init_coarse, target)
-    if hierarchy.coarse_count > len(target):
-        raise InvalidInputError("coarse_count exceeds target size")
+    count = len(init_coarse)
+    if count > len(target):
+        raise InvalidInputError(f"more coarse points than target points ({count} > {len(target)})")
 
-    coarse_target = subsample(target, hierarchy.coarse_count, "farthest-point", config.seed)
+    coarse_target = subsample(target, count, "farthest-point", config.seed)
     rng = np.random.default_rng(config.seed)
-    offsets = hierarchy.offset_scale * rng.standard_normal((hierarchy.fine_count, init_coarse.dim))
+    n_fine = count * hierarchy.children_per_coarse
+    offsets = hierarchy.offset_scale * rng.standard_normal((n_fine, init_coarse.dim))
     coarse_loss = _Loss(ObjectiveSpec("fcd", FcdWeights(schedule.tau, schedule.theta), r), None)
     stages = [(coarse_target, coarse_loss), (target, _Loss(ObjectiveSpec("fcd", r=r), schedule))]
     param = _Skeleton(init_coarse.points, offsets, freeze_offsets)

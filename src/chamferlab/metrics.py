@@ -121,12 +121,11 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     return 0.5 * (term_p + term_g)
 
 
-def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:
+def emd_exact(p: PointCloud, g: PointCloud) -> float:
     """Earth Mover's Distance under the optimal one-to-one assignment.
 
     Requires equal-size clouds; solves the assignment exactly, so inputs are
-    capped at EMD_EXACT_MAX points. Returns the mean matched distance by
-    default (``mean=False`` gives the raw sum).
+    capped at EMD_EXACT_MAX points. Returns the mean matched distance.
     """
     _check_pair(p, g)
     if len(p) != len(g):
@@ -139,8 +138,7 @@ def emd_exact(p: PointCloud, g: PointCloud, mean: bool = True) -> float:
     from scipy.optimize import linear_sum_assignment
     cost = _pair_costs(p.points, g.points)
     rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    return total / len(p) if mean else total
+    return float(cost[rows, cols].sum()) / len(p)
 
 
 def _in_range(s: np.ndarray) -> bool:
@@ -157,7 +155,7 @@ def emd_approx(
     the approximation at the price of slower convergence. The plan is rounded
     to exact marginal feasibility before costing, so the result is an upper
     bound on the exact value and shrinks toward it as iterations grow. The
-    value is a mean per unit mass, comparable to ``emd_exact(..., mean=True)``.
+    value is a mean per unit mass, comparable to ``emd_exact``.
 
     The iterates are those of log-domain Sinkhorn (potentials f = h = 0, h
     updated first), run in the scaling domain: side 0 holds the rows (f, u),
@@ -334,18 +332,15 @@ class MetricReport:
             if value is not None and not value >= 0.0:  # NaN fails too
                 raise InvalidInputError(f"{f.name} must be non-negative, got {value}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(asdict(self))
 
     @classmethod
     def csv_header(cls) -> str:
         return ",".join(f.name for f in fields(cls))
 
     def csv_row(self) -> str:
-        return ",".join("" if v is None else repr(float(v)) for v in self.to_dict().values())
+        return ",".join("" if v is None else repr(float(v)) for v in asdict(self).values())
 
 
 def report(pred: PointCloud, gt: PointCloud, fscore_threshold: float, dcd_temperature: float,

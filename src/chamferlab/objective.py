@@ -4,7 +4,7 @@ and uncertainty-based weighting."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +60,12 @@ class ScheduleSpec:
             )
         if not self.theta < math.inf:
             raise InvalidInputError(f"theta must be finite, got {self.theta}")
-        if not 0 < self.t < self.T:
+        # only stair and abridged-linear read t; linear divides by T
+        if self.kind in ("stair", "abridged-linear") and not 0 < self.t < self.T:
             raise InvalidInputError(f"need 0 < t < T, got t={self.t}, T={self.T}")
+        if not self.T >= 1:
+            raise InvalidInputError(f"need T >= 1, got T={self.T}")
         _check_positive("sigma", self.sigma)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduleSpec":
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass

@@ -171,6 +171,17 @@ class TestScheduleCommand:
     def test_invalid_bounds_exit_3(self, capsys):
         assert main(["schedule", "--kind", "linear", "--theta", "1.0", "--tau", "1.0"]) == 3
 
+    def test_t_is_checked_only_where_it_is_read(self, capsys):
+        # the default t=200 lies past T=100, but only stair and abridged-linear read t
+        for kind in ("static", "linear", "exponential", "uncertainty"):
+            assert main(["schedule", "--kind", kind, "--T", "100"]) == 0
+            assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 101
+        for kind in ("stair", "abridged-linear"):
+            assert main(["schedule", "--kind", kind, "--T", "100"]) == 3
+            assert "need 0 < t < T, got t=200, T=100" in capsys.readouterr().err
+        assert main(["schedule", "--kind", "linear", "--T", "0"]) == 3
+        assert "need T >= 1, got T=0" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_default_sweep(self, capsys):
@@ -317,10 +328,17 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--schedule", "linear"], ["--objective", "cd-l1"]], ids=["linear", "cd-l1"]
+        "flags",
+        [
+            ["--schedule", "linear"],
+            ["--objective", "cd-l1"],
+            ["--schedule", "exponential", "--T", "100"],
+        ],
+        ids=["linear", "cd-l1", "exponential-t-past-T"],
     )
     def test_unused_weights_are_not_validated(self, tmp_path, capsys, flags):
-        # --alpha/--beta apply only to fcd without a schedule
+        # --alpha/--beta apply only to fcd without a schedule, and --t (200 by
+        # default) only to the stair and abridged-linear schedules
         out = tmp_path / "run"
         argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "5", *flags]
         assert main([*argv, "--alpha", "-1", "--beta", "nan", "--out-dir", str(out)]) == 0
@@ -339,6 +357,15 @@ class TestOptimizeCommand:
 
     def test_missing_inputs_exit_3(self, tmp_path, capsys):
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("flag", ["--init", "--target"])
+    def test_benchmark_with_an_input_file_exits_3(self, fixture_files, tmp_path, capsys, flag):
+        # the benchmark builds both clouds, so a named file would go unread
+        argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "3"]
+        for path in (fixture_files[0], tmp_path / "nonexist.xyz"):
+            assert main([*argv, flag, str(path), "--out-dir", str(tmp_path / "x")]) == 3
+            assert "--benchmark" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "flags, name",
@@ -415,6 +442,34 @@ class TestBatchCommand:
         d.mkdir()
         write_xyz(d / "a_pred.xyz", random_cloud(rng, 4))
         assert main(["batch", "--dir", str(d)]) == 2
+
+    def test_pred_suffix_is_replaced_at_its_last_occurrence(self, tmp_path, capsys, rng):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        pred, gt = d / "x_predicted_pred.xyz", d / "x_predicted_gt.xyz"
+        write_xyz(pred, random_cloud(rng, 6))
+        write_xyz(gt, random_cloud(rng, 6))
+        assert main(["batch", "--dir", str(d)]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert main(["metrics", str(pred), str(gt)]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert row.split(",")[:2] == ["x_predicted_pred.xyz", repr(single["cd_l1"])]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pred-suffix", "_est"], "cannot derive ground-truth name"),
+            (["--gt-suffix", "_pred"], "cannot derive ground-truth name"),
+            (["--pred-suffix", ""], "--pred-suffix must not be empty"),
+        ],
+        ids=["suffix-absent", "equal-suffixes", "empty-suffix"],
+    )
+    def test_underivable_ground_truth_exits_3(self, tmp_path, capsys, rng, flags, message):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        write_xyz(d / "a_pred.xyz", random_cloud(rng, 4))
+        assert main(["batch", "--dir", str(d), *flags]) == 3
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--emd-approx", "--emd-iterations", "2"]])
     def test_emd_above_exact_cap_matches_metrics(self, tmp_path, capsys, flags):
@@ -498,6 +553,19 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"T": 10, "t": 5}))
         assert main(["schedule", "--kind", "static", "--c", str(cfg)]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 11
+
+    def test_second_config_is_a_usage_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"T": 3}))
+        b.write_text(json.dumps({"tau": 0.5}))
+        argv = ["schedule", "--kind", "static", "--T", "3", "--t", "1"]
+        for configs in ([f"--config={a}", f"--config={b}"], ["--config", str(a), "--conf", str(b)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *configs])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "--config may be given only once" in captured.err
+            assert captured.out == ""
 
     def test_malformed_config_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"

@@ -9,7 +9,6 @@ from chamferlab import (
     PointCloud,
     TriangleMesh,
     build_index,
-    nearest,
     nearest_hit_counts,
     subsample,
 )
@@ -60,31 +59,31 @@ class TestPointCloud:
 class TestNearest:
     def test_single_candidate(self):
         idx = build_index(PointCloud([[0.0, 0.0, 0.0]]))
-        i, d = nearest(idx, [5.0, 5.0, 5.0])
+        i, d = idx.query([5.0, 5.0, 5.0])
         assert i == 0
         assert d == pytest.approx(np.sqrt(75.0))
 
     def test_strict_nearest(self):
         idx = build_index(PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-        i, d = nearest(idx, [0.4, 0.0, 0.0])
+        i, d = idx.query([0.4, 0.0, 0.0])
         assert (i, d) == (0, pytest.approx(0.4))
 
     def test_tie_breaks_to_lowest_index(self):
         idx = build_index(PointCloud([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
         q = np.array([1.0, 0.0, 0.0])
-        assert nearest(idx, q) == brute_force_nearest(idx.source.points, q) == (0, 1.0)
+        assert idx.query(q) == brute_force_nearest(idx.source.points, q) == (0, 1.0)
 
     def test_query_on_source_point_is_zero(self, rng):
         cloud = random_cloud(rng, 40)
         idx = build_index(cloud)
-        i, d = nearest(idx, cloud.points[17])
+        i, d = idx.query(cloud.points[17])
         assert i == 17
         assert d == 0.0
 
     def test_dimension_mismatch(self):
         idx = build_index(PointCloud([[0.0, 0.0, 0.0]]))
         with pytest.raises(InvalidInputError):
-            nearest(idx, [0.0, 0.0])
+            idx.query([0.0, 0.0])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("n", [10, 100], ids=["small-tree", "kd-tree"])
@@ -99,13 +98,13 @@ class TestNearest:
     @pytest.mark.parametrize(
         "search",
         [
-            lambda q, target: nearest(build_index(target), q[0]),
+            lambda q, target: build_index(target).query(q[0]),
             lambda q, target: build_index(target).query_many(q),
             lambda q, target: nearest_hit_counts(PointCloud(q), build_index(target)),
             lambda q, target: nearest_neighbors(q, target),
             lambda q, target: nearest_neighbors(q, target, block=np.zeros((1, len(target)))),
         ],
-        ids=["nearest", "query_many", "nearest_hit_counts", "nearest_neighbors-tree",
+        ids=["query", "query_many", "nearest_hit_counts", "nearest_neighbors-tree",
              "nearest_neighbors-block"],
     )
     def test_one_query_contract(self, rng, search, bad):

@@ -171,7 +171,7 @@ def test_near_converged_two_cycle_is_not_divergence(objective):
     config = OptimizerConfig(steps=200, step_size=0.05, record_every=50)
     final, trace = optimize(PointCloud(target.points + noise), target, objective, config)
     assert np.abs(final.points - target.points).max() < config.step_size
-    assert trace.final.cd_l1 < config.step_size
+    assert trace.records[-1].cd_l1 < config.step_size
 
 
 def test_divergence_guard():
@@ -283,7 +283,7 @@ def test_snapshot_emd_subsamples_unequal_sizes(rng):
 class TestHierarchical:
     def test_perfect_start_stays_put(self, rng):
         target = random_cloud(rng, 12)
-        hierarchy = HierarchySpec(coarse_count=12, children_per_coarse=1, offset_scale=0.0)
+        hierarchy = HierarchySpec(children_per_coarse=1, offset_scale=0.0)
         schedule = ScheduleSpec("static")
         config = OptimizerConfig(steps=20, step_size=0.05, seed=0, record_every=5)
         fine, coarse, trace = optimize_hierarchical(target, hierarchy, target, schedule, config)
@@ -296,7 +296,7 @@ class TestHierarchical:
         # cloud is the skeleton, descended on the sum of both stage losses
         target = random_cloud(rng, 16, dim=2)
         init = random_cloud(rng, 8, dim=2)
-        hierarchy = HierarchySpec(coarse_count=8, children_per_coarse=1, offset_scale=0.0)
+        hierarchy = HierarchySpec(children_per_coarse=1, offset_scale=0.0)
         plain = OptimizerConfig(steps=40, step_size=0.01, seed=13, record_every=10)
         momentum = OptimizerConfig(
             steps=40, step_size=0.01, update_rule="momentum", momentum_coeff=0.9, seed=13,
@@ -359,7 +359,7 @@ class TestHierarchical:
     def test_clustered_coarse_expands_toward_grid(self, rng):
         _, target = clustered_grid_benchmark(64, seed=42)
         init_coarse = PointCloud(0.05 * rng.standard_normal((16, 2)))
-        hierarchy = HierarchySpec(coarse_count=16, children_per_coarse=4)
+        hierarchy = HierarchySpec(children_per_coarse=4)
         schedule = ScheduleSpec("static")
         config = OptimizerConfig(steps=600, step_size=0.05, seed=42, record_every=200)
         fine, _, _ = optimize_hierarchical(init_coarse, hierarchy, target, schedule, config)
@@ -373,7 +373,7 @@ class TestHierarchical:
     def test_each_stage_matches_once_per_evaluation(self, rng, nn_calls, kind):
         target = random_cloud(rng, 90)
         init_coarse = random_cloud(rng, 20)
-        hierarchy = HierarchySpec(coarse_count=20, children_per_coarse=4)
+        hierarchy = HierarchySpec(children_per_coarse=4)
         config = OptimizerConfig(steps=4, step_size=1e-3, record_every=2)
         optimize_hierarchical(init_coarse, hierarchy, target, ScheduleSpec(kind), config)
         assert len(nn_calls) == 4 * (config.steps + 1)
@@ -381,7 +381,7 @@ class TestHierarchical:
     def test_overflowing_uncertainty_weights_are_divergence(self, rng):
         _, target = clustered_grid_benchmark(64, seed=42)
         init_coarse = PointCloud(0.05 * rng.standard_normal((16, 2)))
-        hierarchy = HierarchySpec(coarse_count=16, children_per_coarse=4)
+        hierarchy = HierarchySpec(children_per_coarse=4)
         config = OptimizerConfig(steps=3, step_size=1000.0)
         schedule = ScheduleSpec("uncertainty")
         with pytest.raises(DivergenceError, match="at step 1$"):
@@ -389,14 +389,16 @@ class TestHierarchical:
 
     def test_size_validation(self, rng):
         target = random_cloud(rng, 8)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="more coarse points than target points"):
             optimize_hierarchical(
-                random_cloud(rng, 4),
-                HierarchySpec(coarse_count=5, children_per_coarse=1),
+                random_cloud(rng, 9),
+                HierarchySpec(children_per_coarse=1),
                 target,
                 ScheduleSpec("static"),
                 OptimizerConfig(steps=1, step_size=0.1),
             )
         for scale in (float("nan"), float("inf"), -1.0):
             with pytest.raises(InvalidInputError, match="offset_scale"):
-                HierarchySpec(coarse_count=4, children_per_coarse=2, offset_scale=scale)
+                HierarchySpec(children_per_coarse=2, offset_scale=scale)
+        with pytest.raises(InvalidInputError, match="children_per_coarse"):
+            HierarchySpec(children_per_coarse=0)

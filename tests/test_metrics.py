@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -267,7 +268,6 @@ class TestEmd:
         p = PointCloud([[0.0, 0, 0], [1, 0, 0]])
         g = PointCloud([[0.0, 0, 0], [2, 0, 0]])
         assert emd_exact(p, g) == pytest.approx(0.5)
-        assert emd_exact(p, g, mean=False) == pytest.approx(1.0)
 
     def test_matches_permutation_oracle(self, rng):
         for _ in range(25):
@@ -281,7 +281,6 @@ class TestEmd:
             cost = norm_cost(p, g)
             rows, cols = linear_sum_assignment(cost)
             assert emd_exact(p, g) == float(cost[rows, cols].sum()) / n
-            assert emd_exact(p, g, mean=False) == float(cost[rows, cols].sum())
 
     def test_rejects_unequal_sizes(self, rng):
         with pytest.raises(InvalidInputError):
@@ -680,7 +679,7 @@ class TestReport:
 class TestMetricReport:
     def test_json_and_csv_round_trip(self):
         report = MetricReport(cd_l1=1.25, dcd=0.5, fscore=1.0)
-        data = report.to_dict()
+        data = json.loads(report.to_json())
         assert data["cd_l1"] == 1.25
         assert data["emd"] is None
         header = MetricReport.csv_header()

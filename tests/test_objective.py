@@ -237,18 +237,16 @@ class TestSchedules:
         with pytest.raises(InvalidInputError):
             ScheduleSpec("linear", theta=1.0, tau=1.0)
         with pytest.raises(InvalidInputError):
-            ScheduleSpec("linear", t=400, T=400)
+            ScheduleSpec("stair", t=400, T=400)
+        with pytest.raises(InvalidInputError, match="T >= 1"):
+            ScheduleSpec("linear", T=0)
+        ScheduleSpec("linear", T=100)  # t is unused by linear
         with pytest.raises(InvalidInputError):
             ScheduleSpec("exponential", sigma=0.0)
         for name, value in [("theta", math.inf), ("tau", math.inf), ("theta", math.nan),
                             ("sigma", math.inf), ("sigma", math.nan)]:
             with pytest.raises(InvalidInputError, match=name):
                 ScheduleSpec("exponential", **{name: value})
-
-    def test_config_round_trip(self):
-        spec = ScheduleSpec("abridged-linear", theta=2.5, tau=0.75, t=150, T=600, sigma=90.0)
-        assert list(spec.to_dict()) == ["kind", "theta", "tau", "t", "T", "sigma"]
-        assert ScheduleSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestUncertaintyLoss:

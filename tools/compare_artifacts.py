@@ -120,6 +120,13 @@ def _runs() -> dict[str, list[str]]:
         runs[f"schedule-{kind}-out"] = ["schedule", "--kind", kind, "--out", "schedule.csv"]
     runs["schedule-invalid-bounds"] = ["schedule", "--kind", "linear", "--theta", "1", "--tau", "1"]
     runs["schedule-config"] = ["schedule", "--kind", "linear", "--config", "schedule.json"]
+    # linear never reads t, so the default t=200 past T=100 is no error
+    runs["schedule-linear-unused-t"] = ["schedule", "--kind", "linear", "--T", "100"]
+    # a second --config is argparse's usage error, not silently ignored
+    runs["schedule-second-config"] = [
+        "schedule", "--kind", "static", "--T", "3", "--t", "1",
+        "--config", "config_a.json", "--config", "config_b.json",
+    ]
     runs["sweep"] = ["sweep"]
     runs["sweep-out"] = ["sweep", "--out", "sweep.csv"]
     runs["sweep-x-max-inf"] = ["sweep", "--x-max", "inf"]
@@ -143,6 +150,8 @@ def _runs() -> dict[str, list[str]]:
     ]
     # the first rejected report parameter names its metric
     runs["batch-dcd-temperature-0"] = ["batch", "--dir", "pairs", "--dcd-temperature", "0"]
+    # "_pred" occurs twice in the name; only the last occurrence becomes "_gt"
+    runs["batch-pred-suffix-last-occurrence"] = ["batch", "--dir", "pairs_suffix"]
     runs["ambiguity"] = ["ambiguity", "--out-dir", "ambiguity"]
     optimize = {
         "default": [],
@@ -179,6 +188,10 @@ def _runs() -> dict[str, list[str]]:
     # a schedule leaves --alpha unused, so an invalid one is not an error
     runs["optimize-schedule-ignores-alpha"] = [
         *BENCH, "--schedule", "linear", "--alpha", "-1", "--steps", "5", "--out-dir", "run",
+    ]
+    # the benchmark builds both clouds, so a named --init is rejected, not ignored
+    runs["optimize-benchmark-with-init"] = [
+        *BENCH, "--init", "nonexist.xyz", "--steps", "5", "--out-dir", "run",
     ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
@@ -275,6 +288,10 @@ def _write_inputs(root: Path) -> None:
     face = "element face 1\nproperty list uchar int vertex_indices\n"
     files["dup_face.ply"] = _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2"]).replace(
         "end_header\n", face + "end_header\n") + "3 2 1 0\n"
+    files["config_a.json"] = json.dumps({"theta": 3.0})
+    files["config_b.json"] = json.dumps({"tau": 0.5})
+    files["pairs_suffix/x_predicted_pred.xyz"] = _cloud(rng, 12)
+    files["pairs_suffix/x_predicted_gt.xyz"] = _cloud(rng, 12)
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
