@@ -152,8 +152,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     config = OptimizerConfig(
         steps=args.steps,
         step_size=args.step_size,
-        update_rule=args.update_rule,
-        momentum_coeff=args.momentum,
+        momentum_coeff=args.momentum if args.update_rule == "momentum" else 0.0,
         seed=args.seed,
         record_every=args.record_every,
     )
@@ -171,6 +170,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--parallelism must be >= 1, got {args.parallelism}")
     if not args.pred_suffix:
         raise InvalidInputError("--pred-suffix must not be empty")
+    if args.gt_suffix == args.pred_suffix:  # each file would pair with itself
+        raise InvalidInputError(f"--pred-suffix and --gt-suffix are equal ({args.pred_suffix!r})")
     root = Path(args.dir)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
@@ -178,13 +179,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     pairs = []
     for pred_path in pred_paths:
         head, found, tail = pred_path.name.rpartition(args.pred_suffix)
-        gt_name = head + args.gt_suffix + tail  # only the last occurrence changes
-        if not found or gt_name == pred_path.name:
+        if not found:
             raise InvalidInputError(
                 f"{pred_path.name}: cannot derive ground-truth name "
                 f"(suffix {args.pred_suffix!r} not found)"
             )
-        gt_path = pred_path.with_name(gt_name)
+        gt_path = pred_path.with_name(head + args.gt_suffix + tail)  # only the last occurrence
         if not gt_path.exists():
             raise FileNotFoundError(f"missing ground truth for {pred_path.name}: {gt_path}")
         pairs.append((pred_path, gt_path))
@@ -194,9 +194,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         return f"{pair[0].name},{result.csv_row()}"
 
     lines = ["file," + MetricReport.csv_header()]
-    if pairs:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-            lines.extend(pool.map(row, pairs))  # map preserves input order
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.parallelism) as pool:
+        lines.extend(pool.map(row, pairs))  # map preserves input order
     _emit(args, "\n".join(lines) + "\n", [str(p) for pair in pairs for p in pair])
     return EXIT_OK
 

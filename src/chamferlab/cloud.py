@@ -133,18 +133,15 @@ def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
     within that reach is gathered with one ball query, and the row keeps the
     lowest index among the exact minima of _row_sq_dists. Elsewhere
     the first candidate is the unique nearest point and only its distance is
-    recomputed. A 1-point target yields one candidate, index 0, and no tie.
+    recomputed. A 1-point tree pads the second candidate with an infinite
+    distance, so none of its rows ties.
     """
-    k = min(2, len(sources))
-    dist, cand = tree.query(queries, k=k)
-    dist, cand = dist.reshape(-1, k), cand.reshape(-1, k)
+    dist, cand = tree.query(queries, k=2)
     indices = cand[:, 0].copy()
     best = _row_sq_dists(queries, sources[indices])
-    if k == 1:
-        return indices, np.sqrt(best)
-    rows = np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + _TIE_RTOL))
+    rows = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_RTOL))
     if rows.size:
-        reach = np.nextafter(dist[rows, -1] * (1.0 + _TIE_RTOL), np.inf)
+        reach = np.nextafter(dist[rows, 1] * (1.0 + _TIE_RTOL), np.inf)
         found = tree.query_ball_point(queries[rows], reach)
         counts = np.fromiter(map(len, found), dtype=np.intp, count=len(rows))
         ids = np.concatenate(found).astype(np.intp)

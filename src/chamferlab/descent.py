@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cloud import Matching, PointCloud, _check_pair, subsample
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError, NumericalError
 from .metrics import EMD_EXACT_MAX, cd_global, cd_local, chamfer_l1, dcd, emd_exact
 from .metrics import _check_positive, _check_r
 from .objective import (
@@ -25,15 +25,17 @@ from .objective import (
 
 DIVERGENCE_FACTOR = 1e6
 OBJECTIVE_KINDS = ("cd-l1", "cd-l2", "fcd", "dcd-loss")
+# the (weights, r) that every kind but fcd fixes; dcd-loss reports the weights its two terms carry
+_FIXED_WEIGHTS = {"cd-l1": (FcdWeights(0.5, 0.5), 1), "cd-l2": (FcdWeights(1.0, 1.0), 2),
+                  "dcd-loss": (FcdWeights(0.5, 0.5), 1)}
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Plain / momentum gradient-descent settings."""
+    """Gradient-descent settings; a positive momentum_coeff selects the momentum update."""
 
     steps: int
     step_size: float
-    update_rule: str = "plain"
     momentum_coeff: float = 0.0
     seed: int = 0
     record_every: int = 1
@@ -42,8 +44,6 @@ class OptimizerConfig:
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         _check_positive("step_size", self.step_size)
-        if self.update_rule not in ("plain", "momentum"):
-            raise InvalidInputError(f"unknown update rule {self.update_rule!r}")
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise InvalidInputError(f"momentum_coeff must lie in [0, 1), got {self.momentum_coeff}")
         if self.record_every < 1:
@@ -69,18 +69,8 @@ class ObjectiveSpec:
         if self.kind not in OBJECTIVE_KINDS:
             raise InvalidInputError(f"unknown objective kind {self.kind!r}")
         _check_r(self.r)
-        _check_positive("dcd_temperature", self.dcd_temperature)
-
-    def resolved(self) -> tuple[FcdWeights | None, int]:
-        """Fixed (weights, r) for this objective, or (None, r) for a scheduled fcd.
-
-        dcd-loss gets (1/2, 1/2), the weights its two directional terms carry.
-        """
-        if self.kind == "fcd":
-            return self.weights, self.r
-        if self.kind == "cd-l2":
-            return FcdWeights(1.0, 1.0), 2
-        return FcdWeights(0.5, 0.5), 1  # cd-l1 and dcd-loss
+        if self.kind == "dcd-loss":  # no other kind reads the temperature
+            _check_positive("dcd_temperature", self.dcd_temperature)
 
 
 @dataclass(frozen=True)
@@ -167,8 +157,8 @@ def _snapshot_emd(p: PointCloud, target: PointCloud, seed: int) -> float:
 class _Loss:
     """One stage's objective: its value, gradient and weights at an epoch.
 
-    The weights are the objective's fixed ones (``ObjectiveSpec.resolved``),
-    or, under a schedule, the schedule's at the epoch clamped to T. Only fcd
+    The weights are the objective's fixed ones (``_FIXED_WEIGHTS``, or fcd's
+    own), or, under a schedule, the schedule's at the epoch clamped to T. Only fcd
     takes a schedule; the uncertainty kind adds a state that the descent
     loop updates.
     """
@@ -177,7 +167,7 @@ class _Loss:
         self.objective = objective
         self.schedule = schedule
         self.state: UncertaintyState | None = None
-        self.weights, self.r = objective.resolved()
+        self.weights, self.r = _FIXED_WEIGHTS.get(objective.kind, (objective.weights, objective.r))
         if schedule is not None and objective.kind != "fcd":
             raise InvalidInputError(f"objective kind {objective.kind!r} does not take a schedule")
         if schedule is None and self.weights is None:
@@ -265,13 +255,11 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
     records: list[TraceRecord] = []
     target, loss = stages[-1]
     center = target.points.mean(axis=0)
-    reach_sq = None
+    radius_sq = max(_radius_sq(x, center) for x in [*param.clouds(theta), target.points])
+    reach_sq = DIVERGENCE_FACTOR**2 * radius_sq  # radius of init and target about the centroid
     for step in range(config.steps + 1):
         clouds = [PointCloud(points) for points in param.clouds(theta)]
-        spread_sq = max(_radius_sq(c.points, center) for c in clouds)
-        if reach_sq is None:  # from the radius of init and target about the target centroid
-            reach_sq = DIVERGENCE_FACTOR**2 * max(spread_sq, _radius_sq(target.points, center))
-        elif spread_sq > reach_sq:
+        if max(_radius_sq(c.points, center) for c in clouds) > reach_sq:
             # hypot does not square, so a finite offset past 1e154 reports a finite distance
             spread = max(float(np.hypot.reduce(c.points - center, axis=1).max()) for c in clouds)
             raise DivergenceError(
@@ -283,8 +271,8 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
             m = Matching(cloud, stage_target)
             try:
                 stage_value, stage_grad, weights, state_grad = stage_loss.value_grad(m, step)
-            except OverflowError:  # math.exp of a stepped uncertainty state
-                raise DivergenceError(f"uncertainty weights overflowed at step {step}") from None
+            except NumericalError as exc:  # a non-finite gradient, or uncertainty weights
+                raise DivergenceError(f"{exc} at step {step}") from None
             value += stage_value
             grads.append(stage_grad)
         grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
@@ -297,11 +285,10 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
 
         if param.frozen.size:
             grad[param.frozen] = 0.0
-        if config.update_rule == "momentum":
+        if config.momentum_coeff:
             velocity = config.momentum_coeff * velocity + grad
-            theta = theta - config.step_size * velocity
-        else:
-            theta = theta - config.step_size * grad
+            grad = velocity
+        theta = theta - config.step_size * grad
         if state_grad is not None:
             loss.state = UncertaintyState(
                 s_local=loss.state.s_local - config.step_size * state_grad[0],
@@ -323,9 +310,10 @@ def optimize(
 
     Nearest-neighbor assignments (and scheduled weights) are recomputed every
     step; pinned points receive zero update. Runs are deterministic for a
-    fixed config. Raises DivergenceError if the objective, the coordinates or
-    the uncertainty weights become non-finite, or if a point moves farther from
-    the target centroid than 1e6 times the radius of init and target about it.
+    fixed config. Raises DivergenceError if the objective, the gradient or the
+    coordinates become non-finite, if the uncertainty weights overflow or
+    underflow, or if a point moves farther from the target centroid than 1e6
+    times the radius of init and target about it.
     """
     _check_pair(init, target)
     pin_idx = support_pinning(init, pinned) if pinned is not None else np.empty(0, dtype=np.intp)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .cloud import Matching, PointCloud
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .metrics import _check_positive, _check_r, _matched, cd_global, cd_local
 
 SCHEDULE_KINDS = ("static", "stair", "linear", "abridged-linear", "exponential", "uncertainty")
@@ -65,7 +65,8 @@ class ScheduleSpec:
             raise InvalidInputError(f"need 0 < t < T, got t={self.t}, T={self.T}")
         if not self.T >= 1:
             raise InvalidInputError(f"need T >= 1, got T={self.T}")
-        _check_positive("sigma", self.sigma)
+        if self.kind == "exponential":  # no other kind reads sigma
+            _check_positive("sigma", self.sigma)
 
 
 @dataclass
@@ -89,7 +90,14 @@ class UncertaintyState:
         return cls(s_local=-math.log(tau), s_global=-math.log(theta))
 
     def weights(self) -> FcdWeights:
-        return FcdWeights(alpha=math.exp(-self.s_local), beta=math.exp(-self.s_global))
+        """The effective weights; NumericalError if either leaves the float range."""
+        try:
+            alpha, beta = math.exp(-self.s_local), math.exp(-self.s_global)
+        except OverflowError:
+            raise NumericalError("uncertainty weights overflowed") from None
+        if alpha == 0.0 or beta == 0.0:
+            raise NumericalError("uncertainty weights underflowed")
+        return FcdWeights(alpha=alpha, beta=beta)
 
 
 def fcd(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, *,
@@ -125,11 +133,12 @@ def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, 
     gi, gd = m.p_to_g
     pi, pd = m.g_to_p
 
-    grad = (weights.alpha / len(p)) * _direction(p.points - g.points[gi], gd, r)
-    pull = (weights.beta / len(g)) * _direction(p.points[pi] - g.points, pd, r)
-    np.add.at(grad, pi, pull)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        grad = (weights.alpha / len(p)) * _direction(p.points - g.points[gi], gd, r)
+        pull = (weights.beta / len(g)) * _direction(p.points[pi] - g.points, pd, r)
+        np.add.at(grad, pi, pull)
     if not np.isfinite(grad).all():
-        raise InvalidInputError("gradient contains non-finite entries")
+        raise NumericalError("gradient contains non-finite entries")
     return grad
 
 

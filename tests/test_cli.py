@@ -182,6 +182,12 @@ class TestScheduleCommand:
         assert main(["schedule", "--kind", "linear", "--T", "0"]) == 3
         assert "need T >= 1, got T=0" in capsys.readouterr().err
 
+    def test_sigma_is_checked_only_where_it_is_read(self, capsys):
+        assert main(["schedule", "--kind", "linear", "--sigma", "-1", "--T", "2"]) == 0
+        assert capsys.readouterr().out == "epoch,alpha,beta\n0,1.0,2.0\n1,1.0,1.5\n2,1.0,1.0\n"
+        assert main(["schedule", "--kind", "exponential", "--sigma", "-1", "--T", "2"]) == 3
+        assert "sigma must be positive and finite, got -1.0" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_default_sweep(self, capsys):
@@ -311,6 +317,28 @@ class TestOptimizeCommand:
         assert err.startswith("error: ") and err.endswith(" at step 1\n")
         assert not out.exists()
 
+    def test_underflowing_uncertainty_weights_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["optimize", "--benchmark", "clustered-grid", "--schedule", "uncertainty",
+                "--tau", "100", "--theta", "200", "--step-size", "20", "--steps", "3"]
+        assert main([*argv, "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err == "error: uncertainty weights underflowed at step 1\n"
+        assert not out.exists()
+
+    def test_non_finite_gradient_exits_4(self, tmp_path, capsys):
+        # finite inputs whose gradient overflows at the first step, and in the sweep
+        init, target, out = tmp_path / "init.xyz", tmp_path / "target.xyz", tmp_path / "run"
+        write_xyz(init, PointCloud([[0.0, 0.0], [1.0, 0.0]]))
+        write_xyz(target, PointCloud([[100.0, 0.0], [101.0, 0.0]]))
+        argv = ["optimize", "--init", str(init), "--target", str(target), "--alpha", "1.7e308",
+                "--beta", "1", "--r", "2", "--steps", "3", "--out-dir", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == "error: gradient contains non-finite entries at step 0\n"
+        assert not out.exists()
+        assert main(["sweep", "--alpha", "1.7e308"]) == 4
+        assert capsys.readouterr().err == "error: gradient contains non-finite entries\n"
+
     def test_far_divergence_names_a_finite_distance(self, tmp_path, capsys):
         # the coordinates stay finite, but their squares pass the float range
         out = tmp_path / "run"
@@ -343,6 +371,30 @@ class TestOptimizeCommand:
         argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "5", *flags]
         assert main([*argv, "--alpha", "-1", "--beta", "nan", "--out-dir", str(out)]) == 0
         assert (out / "final.xyz").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--schedule", "linear", "--sigma", "-1"],
+            ["--dcd-temperature", "nan"],
+            ["--update-rule", "plain", "--momentum", "5"],
+        ],
+        ids=["linear-sigma", "fcd-dcd-temperature", "plain-momentum"],
+    )
+    def test_unused_flags_are_not_validated(self, tmp_path, capsys, flags):
+        # --sigma applies only to exponential, --dcd-temperature only to
+        # dcd-loss, and --momentum only to the momentum update rule
+        out = tmp_path / "run"
+        argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "5", *flags]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        assert (out / "final.xyz").exists()
+
+    def test_momentum_is_checked_under_the_momentum_rule(self, tmp_path, capsys):
+        argv = ["optimize", "--benchmark", "clustered-grid", "--steps", "3",
+                "--update-rule", "momentum", "--momentum", "5", "--out-dir", str(tmp_path / "x")]
+        assert main(argv) == 3
+        assert "momentum_coeff must lie in [0, 1), got 5.0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_r_is_unused_by_cd_l1(self, tmp_path, capsys):
         # cd-l1 fixes its own distance order, so --r changes no output
@@ -459,7 +511,7 @@ class TestBatchCommand:
         "flags, message",
         [
             (["--pred-suffix", "_est"], "cannot derive ground-truth name"),
-            (["--gt-suffix", "_pred"], "cannot derive ground-truth name"),
+            (["--gt-suffix", "_pred"], "--pred-suffix and --gt-suffix are equal ('_pred')"),
             (["--pred-suffix", ""], "--pred-suffix must not be empty"),
         ],
         ids=["suffix-absent", "equal-suffixes", "empty-suffix"],

@@ -178,8 +178,8 @@ class TestNearest:
         assert block_shapes and all(len(shape) == 1 for shape in block_shapes)
 
     def test_tree_kernel_takes_one_and_two_point_targets(self, rng):
-        # nearest_neighbors sends such targets here: the kernel must not ask
-        # for a second candidate that a 1-point tree does not have
+        # nearest_neighbors sends such targets here: a 1-point tree pads the
+        # second candidate with an infinite distance, which never ties
         queries = rng.random((20, 3))
         for n in (1, 2):
             pts = rng.random((n, 3))

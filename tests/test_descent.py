@@ -190,12 +190,27 @@ def test_overflowing_uncertainty_weights_are_divergence():
         optimize(init, target, ObjectiveSpec("fcd"), config, schedule=ScheduleSpec("uncertainty"))
 
 
+def test_underflowing_uncertainty_weights_are_divergence():
+    # one step of this size drives s_global to about 2800, where exp(-s_global) rounds to 0
+    init, target = clustered_grid_benchmark(64, seed=42)
+    config = OptimizerConfig(steps=3, step_size=20.0)
+    schedule = ScheduleSpec("uncertainty", tau=100.0, theta=200.0)
+    with pytest.raises(DivergenceError, match="^uncertainty weights underflowed at step 1$"):
+        optimize(init, target, ObjectiveSpec("fcd"), config, schedule=schedule)
+
+
+def test_non_finite_gradient_is_divergence():
+    # finite inputs and weights whose gradient overflows at the first evaluation
+    init, target = PointCloud([[0.0, 0.0], [1.0, 0.0]]), PointCloud([[100.0, 0.0], [101.0, 0.0]])
+    objective = ObjectiveSpec("fcd", FcdWeights(1.7e308, 1.0), r=2)
+    with pytest.raises(DivergenceError, match="^gradient contains non-finite entries at step 0$"):
+        optimize(init, target, objective, OptimizerConfig(steps=3, step_size=0.05))
+
+
 def test_momentum_converges_on_easy_problem(rng):
     target = random_cloud(rng, 10)
     init = PointCloud(target.points + 0.05 * rng.standard_normal((10, 3)))
-    config = OptimizerConfig(
-        steps=300, step_size=1e-3, update_rule="momentum", momentum_coeff=0.8, record_every=100
-    )
+    config = OptimizerConfig(steps=300, step_size=1e-3, momentum_coeff=0.8, record_every=100)
     _, trace = optimize(init, target, ObjectiveSpec("cd-l2"), config)
     assert trace.records[-1].objective < trace.records[0].objective
 
@@ -261,6 +276,12 @@ def test_trace_reports_each_objectives_fixed_weights(rng, objective, weights):
     assert [(rec.alpha, rec.beta) for rec in trace.records] == [weights] * 3
 
 
+def test_dcd_temperature_is_checked_only_by_dcd_loss():
+    ObjectiveSpec("fcd", FcdWeights(1.0, 2.0), dcd_temperature=float("nan"))
+    with pytest.raises(InvalidInputError, match="dcd_temperature"):
+        ObjectiveSpec("dcd-loss", dcd_temperature=float("nan"))
+
+
 def test_trace_csv_layout(rng):
     init, target = random_cloud(rng, 6), random_cloud(rng, 6)
     config = OptimizerConfig(steps=10, step_size=1e-3, record_every=3)
@@ -299,8 +320,7 @@ class TestHierarchical:
         hierarchy = HierarchySpec(children_per_coarse=1, offset_scale=0.0)
         plain = OptimizerConfig(steps=40, step_size=0.01, seed=13, record_every=10)
         momentum = OptimizerConfig(
-            steps=40, step_size=0.01, update_rule="momentum", momentum_coeff=0.9, seed=13,
-            record_every=10,
+            steps=40, step_size=0.01, momentum_coeff=0.9, seed=13, record_every=10,
         )
         cases = [
             (ScheduleSpec("linear", t=25, T=50), plain),
@@ -309,7 +329,7 @@ class TestHierarchical:
             (ScheduleSpec("linear", t=25, T=50), momentum),
         ]
         for schedule, config in cases:
-            case = f"{schedule.kind}/{config.update_rule}"
+            case = f"{schedule.kind}/momentum={config.momentum_coeff}"
             fine, coarse, trace = optimize_hierarchical(
                 init, hierarchy, target, schedule, config, r=1, freeze_offsets=True
             )
@@ -335,7 +355,7 @@ class TestHierarchical:
                 grad = fcd_gradient(p, coarse_target, static, 1) + fcd_gradient(
                     p, target, fine_weights, 1
                 )
-                if config.update_rule == "momentum":
+                if config.momentum_coeff:
                     velocity = config.momentum_coeff * velocity + grad
                     x = x - config.step_size * velocity
                 else:

@@ -8,6 +8,7 @@ import pytest
 from chamferlab import (
     FcdWeights,
     InvalidInputError,
+    NumericalError,
     PointCloud,
     ScheduleSpec,
     UncertaintyState,
@@ -155,6 +156,11 @@ class TestFcdGradient:
         assert grad.shape == p.points.shape
         assert np.isfinite(grad).all()
 
+    def test_overflowing_gradient_is_a_numerical_error(self):
+        p, g = PointCloud([[0.0, 0.0], [1.0, 0.0]]), PointCloud([[100.0, 0.0], [101.0, 0.0]])
+        with pytest.raises(NumericalError, match="non-finite"):
+            fcd_gradient(p, g, FcdWeights(1.7e308, 1.0), 2)
+
 
 class TestDcdGradient:
     def test_matches_finite_differences_with_frozen_counts(self, rng):
@@ -247,6 +253,7 @@ class TestSchedules:
                             ("sigma", math.inf), ("sigma", math.nan)]:
             with pytest.raises(InvalidInputError, match=name):
                 ScheduleSpec("exponential", **{name: value})
+        ScheduleSpec("linear", sigma=-1.0)  # sigma is unused by linear
 
 
 class TestUncertaintyLoss:
@@ -263,6 +270,12 @@ class TestUncertaintyLoss:
     def test_initialization_gives_bound_weights(self):
         w = UncertaintyState.initial(1.0, 2.0).weights()
         assert (w.alpha, w.beta) == pytest.approx((1.0, 2.0), abs=1e-15)
+
+    def test_weights_past_the_float_range_are_numerical_errors(self):
+        for state, word in [(UncertaintyState(-800.0, 0.0), "overflowed"),
+                            (UncertaintyState(0.0, 800.0), "underflowed")]:
+            with pytest.raises(NumericalError, match=f"^uncertainty weights {word}$"):
+                state.weights()
 
     def test_state_gradients_match_finite_differences(self, rng):
         step = 1e-7

@@ -144,6 +144,12 @@ def _runs() -> dict[str, list[str]]:
     ]
     # an abscissa on the far target is rejected when the sweep is set up, naming x
     runs["sweep-x-at-far-target"] = ["sweep", "--x-min", "3.0", "--x-max", "4.5", "--x-step", "0.5"]
+    # finite weights whose gradient overflows: a numerical failure, exit 4
+    runs["sweep-gradient-overflow"] = ["sweep", "--alpha", "1.7e308"]
+    # only the exponential schedule reads sigma
+    runs["schedule-linear-unused-sigma"] = [
+        "schedule", "--kind", "linear", "--sigma", "-1", "--T", "2",
+    ]
     runs["batch"] = ["batch", "--dir", "pairs"]
     runs["batch-out-parallel"] = [
         "batch", "--dir", "pairs", "--out", "table.csv", "--parallelism", "2",
@@ -152,6 +158,9 @@ def _runs() -> dict[str, list[str]]:
     runs["batch-dcd-temperature-0"] = ["batch", "--dir", "pairs", "--dcd-temperature", "0"]
     # "_pred" occurs twice in the name; only the last occurrence becomes "_gt"
     runs["batch-pred-suffix-last-occurrence"] = ["batch", "--dir", "pairs_suffix"]
+    # equal suffixes would pair each file with itself
+    runs["batch-equal-suffixes"] = ["batch", "--dir", "pairs", "--gt-suffix", "_pred"]
+    runs["batch-empty-dir"] = ["batch", "--dir", "empty"]
     runs["ambiguity"] = ["ambiguity", "--out-dir", "ambiguity"]
     optimize = {
         "default": [],
@@ -192,6 +201,27 @@ def _runs() -> dict[str, list[str]]:
     # the benchmark builds both clouds, so a named --init is rejected, not ignored
     runs["optimize-benchmark-with-init"] = [
         *BENCH, "--init", "nonexist.xyz", "--steps", "5", "--out-dir", "run",
+    ]
+    # one step of this size drives exp(-s_global) below the float range
+    runs["optimize-uncertainty-underflows"] = [
+        *BENCH, "--schedule", "uncertainty", "--tau", "100", "--theta", "200", "--step-size", "20",
+        "--steps", "3", "--out-dir", "run",
+    ]
+    # finite inputs and weights whose first gradient overflows
+    runs["optimize-gradient-overflow"] = [
+        "optimize", "--init", "far_p.xyz", "--target", "far_g.xyz", "--alpha", "1.7e308",
+        "--beta", "1", "--r", "2", "--steps", "3", "--out-dir", "run",
+    ]
+    # --dcd-temperature is read only by dcd-loss, --momentum only by the momentum rule
+    runs["optimize-fcd-unused-dcd-temperature"] = [
+        *BENCH, "--steps", "3", "--dcd-temperature", "nan", "--out-dir", "run",
+    ]
+    runs["optimize-plain-unused-momentum"] = [
+        *BENCH, "--steps", "3", "--update-rule", "plain", "--momentum", "5", "--out-dir", "run",
+    ]
+    # a zero coefficient takes the plain update
+    runs["optimize-momentum-0"] = [
+        *BENCH, "--update-rule", "momentum", "--momentum", "0", "--out-dir", "run",
     ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
@@ -292,9 +322,12 @@ def _write_inputs(root: Path) -> None:
     files["config_b.json"] = json.dumps({"tau": 0.5})
     files["pairs_suffix/x_predicted_pred.xyz"] = _cloud(rng, 12)
     files["pairs_suffix/x_predicted_gt.xyz"] = _cloud(rng, 12)
+    files["far_p.xyz"] = "0 0\n1 0\n"
+    files["far_g.xyz"] = "100 0\n101 0\n"
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
+    (root / "empty").mkdir()
 
 
 def _run(src: Path, argv: list[str]) -> dict[str, bytes]:
