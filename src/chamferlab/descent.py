@@ -10,22 +10,20 @@ import numpy as np
 
 from .cloud import Matching, PointCloud, _check_pair, subsample
 from .errors import DivergenceError, InvalidInputError, NumericalError
-from .metrics import EMD_EXACT_MAX, cd_global, cd_local, chamfer_l1, dcd, emd_exact
+from .metrics import EMD_EXACT_MAX, chamfer_l1, dcd, emd_exact
 from .metrics import _check_positive, _check_r
 from .objective import (
     FcdWeights,
     ScheduleSpec,
     UncertaintyState,
-    dcd_gradient,
-    fcd,
-    fcd_gradient,
+    _value_grad,
     schedule_weights,
     uncertainty_loss,
 )
 
 DIVERGENCE_FACTOR = 1e6
 OBJECTIVE_KINDS = ("cd-l1", "cd-l2", "fcd", "dcd-loss")
-# the (weights, r) that every kind but fcd fixes; dcd-loss reports the weights its two terms carry
+# the (weights, r) that every kind but fcd fixes; dcd-loss weights its two DCD terms by 1/2
 _FIXED_WEIGHTS = {"cd-l1": (FcdWeights(0.5, 0.5), 1), "cd-l2": (FcdWeights(1.0, 1.0), 2),
                   "dcd-loss": (FcdWeights(0.5, 0.5), 1)}
 
@@ -164,10 +162,10 @@ class _Loss:
     """
 
     def __init__(self, objective: ObjectiveSpec, schedule: ScheduleSpec | None):
-        self.objective = objective
         self.schedule = schedule
         self.state: UncertaintyState | None = None
         self.weights, self.r = _FIXED_WEIGHTS.get(objective.kind, (objective.weights, objective.r))
+        self.temperature = objective.dcd_temperature if objective.kind == "dcd-loss" else None
         if schedule is not None and objective.kind != "fcd":
             raise InvalidInputError(f"objective kind {objective.kind!r} does not take a schedule")
         if schedule is None and self.weights is None:
@@ -177,22 +175,14 @@ class _Loss:
 
     def value_grad(self, m: Matching, epoch: int):
         """Returns (objective, gradient at m.p, weights, state gradient or None)."""
-        p, target = m.p, m.g
         weights = self.weights
         if self.schedule is not None:
             weights = schedule_weights(self.schedule, min(epoch, self.schedule.T), self.state)
-        if self.objective.kind == "dcd-loss":
-            temp = self.objective.dcd_temperature
-            value = dcd(p, target, temp, matching=m)
-            return value, dcd_gradient(p, target, temp, matching=m), weights, None
-        state_grad = None
-        if self.state is not None:
-            local = cd_local(p, target, self.r, matching=m)
-            glob = cd_global(p, target, self.r, matching=m)
-            value, state_grad = uncertainty_loss(local, glob, self.state)
-        else:
-            value = fcd(p, target, weights, self.r, matching=m)
-        return value, fcd_gradient(p, target, weights, self.r, matching=m), weights, state_grad
+        local, glob, grad = _value_grad(m, weights, self.r, self.temperature)
+        if self.state is None:
+            return weights.alpha * local + weights.beta * glob, grad, weights, None
+        value, state_grad = uncertainty_loss(local, glob, self.state)
+        return value, grad, weights, state_grad
 
 
 class _FreePoints:
@@ -285,17 +275,19 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
 
         if param.frozen.size:
             grad[param.frozen] = 0.0
-        if config.momentum_coeff:
-            velocity = config.momentum_coeff * velocity + grad
-            grad = velocity
-        theta = theta - config.step_size * grad
-        if state_grad is not None:
-            loss.state = UncertaintyState(
-                s_local=loss.state.s_local - config.step_size * state_grad[0],
-                s_global=loss.state.s_global - config.step_size * state_grad[1],
-            )
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below report an overflow
+            if config.momentum_coeff:
+                velocity = config.momentum_coeff * velocity + grad
+                grad = velocity
+            theta = theta - config.step_size * grad
         if not np.isfinite(theta).all():
             raise DivergenceError(f"coordinates became non-finite at step {step}")
+        if state_grad is not None:
+            s_local = loss.state.s_local - config.step_size * state_grad[0]
+            s_global = loss.state.s_global - config.step_size * state_grad[1]
+            if not (math.isfinite(s_local) and math.isfinite(s_global)):
+                raise DivergenceError(f"uncertainty state left the float range at step {step}")
+            loss.state = UncertaintyState(s_local, s_global)
 
 
 def optimize(

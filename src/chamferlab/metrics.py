@@ -66,6 +66,18 @@ def _matched(p: PointCloud, g: PointCloud, matching: Matching | None) -> Matchin
     return matching
 
 
+def _terms(m: Matching, side: int, r: int = 1, temperature: float | None = None):
+    """Per-row terms of m's p -> g (side 0) or g -> p (side 1) direction, and the factor on
+    each row's gradient of d: d ** r and None, or, given a temperature T, DCD's
+    1 - exp(-T d) / hits and T exp(-T d) / hits, hits being the frozen count of the match."""
+    idx, d = m.g_to_p if side else m.p_to_g
+    if temperature is None:
+        return (d if r == 1 else d * d), None
+    e = np.exp(-temperature * d)
+    hits = (m.hits_on_p if side else m.hits_on_g)[idx]
+    return 1.0 - e / hits, temperature * e / hits
+
+
 def cd_local(p: PointCloud, g: PointCloud, r: int = 1, *,
              matching: Matching | None = None) -> float:
     """Mean nearest-neighbor distance (order r) from predicted points to the target.
@@ -75,8 +87,7 @@ def cd_local(p: PointCloud, g: PointCloud, r: int = 1, *,
     """
     m = _matched(p, g, matching)
     _check_r(r)
-    _, d = m.p_to_g
-    return _mean(d if r == 1 else d * d)
+    return _mean(_terms(m, 0, r)[0])
 
 
 def cd_global(p: PointCloud, g: PointCloud, r: int = 1, *,
@@ -87,8 +98,7 @@ def cd_global(p: PointCloud, g: PointCloud, r: int = 1, *,
     """
     m = _matched(p, g, matching)
     _check_r(r)
-    _, d = m.g_to_p
-    return _mean(d if r == 1 else d * d)
+    return _mean(_terms(m, 1, r)[0])
 
 
 def chamfer_l1(p: PointCloud, g: PointCloud, *, matching: Matching | None = None) -> float:
@@ -114,11 +124,7 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     """
     _check_positive("temperature", temperature)
     m = _matched(p, g, matching)
-    gi, gd = m.p_to_g
-    pi, pd = m.g_to_p
-    term_p = _mean(1.0 - np.exp(-temperature * gd) / m.hits_on_g[gi])
-    term_g = _mean(1.0 - np.exp(-temperature * pd) / m.hits_on_p[pi])
-    return 0.5 * (term_p + term_g)
+    return 0.5 * sum(_mean(_terms(m, side, temperature=temperature)[0]) for side in (0, 1))
 
 
 def emd_exact(p: PointCloud, g: PointCloud) -> float:
@@ -196,9 +202,13 @@ def emd_approx(
                 scale[side] = 1.0 / s
             else:
                 pot[other] = pot[other] + epsilon * np.log(scale[other])
-                pot[side] = -epsilon * logsumexp(
-                    (np.expand_dims(pot[other], side) - cost) / epsilon + np.log(mass[other]),
-                    axis=other)
+                shift = np.expand_dims(pot[other], side)
+                # each entry reduces only its own row (side 0) or column (side 1) of the
+                # cost, so blocks of them give the same values with no full-size temporary
+                for blk in _row_blocks(len(pot[side]), len(pot[other])):
+                    part = cost[:, blk] if side else cost[blk]
+                    pot[side][blk] = -epsilon * logsumexp(
+                        (shift - part) / epsilon + np.log(mass[other]), axis=other)
                 scale = [np.ones(n), np.ones(m)]
                 fill_kernel()
     plan = kernel  # (mass*u) K (mass*v), scaled in place

@@ -11,7 +11,7 @@ import numpy as np
 from .cloud import Matching, PointCloud
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError, NumericalError
-from .metrics import _check_positive, _check_r, _matched, cd_global, cd_local
+from .metrics import _check_positive, _check_r, _matched, _mean, _terms, cd_global, cd_local
 
 SCHEDULE_KINDS = ("static", "stair", "linear", "abridged-linear", "exponential", "uncertainty")
 
@@ -120,6 +120,26 @@ def _direction(diff: np.ndarray, dist: np.ndarray, r: int) -> np.ndarray:
     return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0.0)
 
 
+def _value_grad(m: Matching, weights: FcdWeights, r: int, temperature: float | None):
+    """The means of m's two directions of ``_terms`` and the gradient at m.p of alpha times
+    the first plus beta times the second; NumericalError if it is not finite."""
+    p, g = m.p, m.g
+    (gi, gd), (pi, pd) = m.p_to_g, m.g_to_p
+    terms_p, factor_p = _terms(m, 0, r, temperature)
+    terms_g, factor_g = _terms(m, 1, r, temperature)
+
+    def scaled(weight, factor, direction):
+        return weight * direction if factor is None else (weight * factor[:, None]) * direction
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        grad = scaled(weights.alpha / len(p), factor_p, _direction(p.points - g.points[gi], gd, r))
+        pull = scaled(weights.beta / len(g), factor_g, _direction(p.points[pi] - g.points, pd, r))
+        np.add.at(grad, pi, pull)
+    if not np.isfinite(grad).all():
+        raise NumericalError("gradient contains non-finite entries")
+    return _mean(terms_p), _mean(terms_g), grad
+
+
 def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, *,
                  matching: Matching | None = None) -> np.ndarray:
     """Gradient of the weighted Chamfer objective with respect to each predicted point.
@@ -130,36 +150,19 @@ def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, 
     """
     m = _matched(p, g, matching)
     _check_r(r)
-    gi, gd = m.p_to_g
-    pi, pd = m.g_to_p
-
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
-        grad = (weights.alpha / len(p)) * _direction(p.points - g.points[gi], gd, r)
-        pull = (weights.beta / len(g)) * _direction(p.points[pi] - g.points, pd, r)
-        np.add.at(grad, pi, pull)
-    if not np.isfinite(grad).all():
-        raise NumericalError("gradient contains non-finite entries")
-    return grad
+    return _value_grad(m, weights, r, None)[2]
 
 
 def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
                  matching: Matching | None = None) -> np.ndarray:
     """Gradient of the density-aware Chamfer distance with respect to each predicted point.
 
-    Assignments and match counts are frozen at the current configuration, so
-    only the exponential distance kernels are differentiated.
+    Assignments and match counts are frozen at the current configuration, so only the
+    exponential distance kernels are differentiated; NumericalError if an entry is not finite.
     """
     _check_positive("temperature", temperature)
     m = _matched(p, g, matching)
-    gi, gd = m.p_to_g
-    pi, pd = m.g_to_p
-
-    kern_p = temperature * np.exp(-temperature * gd) / m.hits_on_g[gi]
-    grad = (0.5 / len(p)) * kern_p[:, None] * _direction(p.points - g.points[gi], gd, 1)
-    kern_g = temperature * np.exp(-temperature * pd) / m.hits_on_p[pi]
-    pull = (0.5 / len(g)) * kern_g[:, None] * _direction(p.points[pi] - g.points, pd, 1)
-    np.add.at(grad, pi, pull)
-    return grad
+    return _value_grad(m, FcdWeights(0.5, 0.5), 1, temperature)[2]
 
 
 def schedule_weights(

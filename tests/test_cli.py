@@ -325,6 +325,15 @@ class TestOptimizeCommand:
         assert capsys.readouterr().err == "error: uncertainty weights underflowed at step 1\n"
         assert not out.exists()
 
+    def test_overflowing_uncertainty_step_exits_4(self, tmp_path, capsys, recwarn):
+        out = tmp_path / "run"
+        argv = ["optimize", "--benchmark", "clustered-grid", "--schedule", "uncertainty",
+                "--tau", "10", "--theta", "20", "--step-size", "1e308", "--steps", "3"]
+        assert main([*argv, "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err == "error: coordinates became non-finite at step 0\n"
+        assert not out.exists()
+        assert not recwarn.list
+
     def test_non_finite_gradient_exits_4(self, tmp_path, capsys):
         # finite inputs whose gradient overflows at the first step, and in the sweep
         init, target, out = tmp_path / "init.xyz", tmp_path / "target.xyz", tmp_path / "run"

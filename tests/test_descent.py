@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from chamferlab import (
 from chamferlab import schedule_weights as schedule_weights_fn
 from chamferlab.cloud import nearest_neighbors
 from chamferlab.descent import _Loss
+from chamferlab.objective import dcd_gradient
 
 from conftest import StageLossSpec, multi_stage_loss, random_cloud
 
@@ -124,6 +127,54 @@ def test_each_evaluation_and_snapshot_matches_once(rng, nn_calls, objective, sch
     assert len(nn_calls) == 2 * (config.steps + 1)
 
 
+def _lattice(side: int, shift: float) -> PointCloud:
+    axis = 0.25 * (np.arange(side) + shift)
+    return PointCloud(np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3))
+
+
+LOSS_PAIRS = {
+    # 64 points per side: one distance block serves both directions
+    "grid64": clustered_grid_benchmark(64, seed=42),
+    # 125 against 64 points: the kd-tree path, each target tied between 8 points
+    "lattice": (_lattice(5, 0.0), _lattice(4, 0.5)),
+}
+
+
+@pytest.mark.parametrize("pair", list(LOSS_PAIRS))
+@pytest.mark.parametrize(
+    "objective, schedule, weights, r",
+    [
+        (ObjectiveSpec("cd-l1"), None, FcdWeights(0.5, 0.5), 1),
+        (ObjectiveSpec("cd-l2"), None, FcdWeights(1.0, 1.0), 2),
+        (ObjectiveSpec("fcd", FcdWeights(1.0, 2.0), r=1), None, FcdWeights(1.0, 2.0), 1),
+        (ObjectiveSpec("fcd", FcdWeights(1.0, 2.0), r=2), None, FcdWeights(1.0, 2.0), 2),
+        (ObjectiveSpec("fcd"), ScheduleSpec("uncertainty"), None, 1),
+        (ObjectiveSpec("dcd-loss", dcd_temperature=10.0), None, FcdWeights(0.5, 0.5), 1),
+        (ObjectiveSpec("dcd-loss", dcd_temperature=1000.0), None, FcdWeights(0.5, 0.5), 1),
+    ],
+    ids=["cd-l1", "cd-l2", "fcd-r1", "fcd-r2", "uncertainty", "dcd-loss-t10", "dcd-loss-t1000"],
+)
+def test_loss_is_the_public_value_and_gradient(nn_calls, pair, objective, schedule, weights, r):
+    p, g = LOSS_PAIRS[pair]
+    state_grad = None
+    if objective.kind == "dcd-loss":
+        temp = objective.dcd_temperature
+        value, grad = dcd(p, g, temp), dcd_gradient(p, g, temp)
+    elif schedule is not None:
+        state = UncertaintyState.initial(schedule.tau, schedule.theta)
+        weights = state.weights()
+        value, state_grad = uncertainty_loss(cd_local(p, g, r), cd_global(p, g, r), state)
+        grad = fcd_gradient(p, g, weights, r)
+    else:
+        value, grad = fcd(p, g, weights, r), fcd_gradient(p, g, weights, r)
+    nn_calls.clear()
+    got = _Loss(objective, schedule).value_grad(Matching(p, g), 0)
+    assert len(nn_calls) == 2
+    assert got[0] == value
+    assert np.array_equal(got[1], grad)
+    assert got[2] == weights and got[3] == state_grad
+
+
 def test_objective_decreases_without_assignment_switches(rng):
     # a gently perturbed copy keeps every match stable, so plain descent is
     # monotone at every step
@@ -197,6 +248,22 @@ def test_underflowing_uncertainty_weights_are_divergence():
     schedule = ScheduleSpec("uncertainty", tau=100.0, theta=200.0)
     with pytest.raises(DivergenceError, match="^uncertainty weights underflowed at step 1$"):
         optimize(init, target, ObjectiveSpec("fcd"), config, schedule=schedule)
+
+
+def test_overflowing_uncertainty_step_is_divergence(recwarn):
+    # a step of 1e308 overflows the coordinates at step 0; with every point pinned
+    # the coordinates stay, and the stepped state alone leaves the float range
+    init, target = clustered_grid_benchmark(64, seed=42)
+    config = OptimizerConfig(steps=3, step_size=1e308)
+    schedule = ScheduleSpec("uncertainty", tau=10.0, theta=20.0)
+    with pytest.raises(DivergenceError, match="^coordinates became non-finite at step 0$"):
+        optimize(init, target, ObjectiveSpec("fcd"), config, schedule=schedule)
+    with pytest.raises(DivergenceError, match="^uncertainty state left the float range at step 0$"):
+        optimize(init, target, ObjectiveSpec("fcd"), config, schedule=schedule, pinned=range(64))
+    assert not recwarn.list
+    # a state that a caller builds is still checked as input
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        UncertaintyState(math.inf, 0.0)
 
 
 def test_non_finite_gradient_is_divergence():

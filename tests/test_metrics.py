@@ -406,6 +406,14 @@ class TestDenseMemory:
         # One more full-size temporary would make it 3 at least.
         assert traced_peak(lambda: emd_approx(p, g, 10)) <= 2.5 * matrix
 
+    def test_log_domain_sinkhorn_fills_its_potentials_in_blocks(self, rng):
+        # at this epsilon the half-steps fall back to the log domain; a full-size
+        # log-sum-exp over the cost peaked at 8.13 matrices, its row or column
+        # blocks at 2.39
+        p, g = random_cloud(rng, 1024), random_cloud(rng, 1024)
+        matrix = 1024 * 1024 * 8
+        assert traced_peak(lambda: emd_approx(p, g, 10, 1e-4)) <= 3 * matrix
+
 
 class TestFscore:
     def test_identity_is_one(self, rng):

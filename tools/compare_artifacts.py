@@ -223,6 +223,24 @@ def _runs() -> dict[str, list[str]]:
     runs["optimize-momentum-0"] = [
         *BENCH, "--update-rule", "momentum", "--momentum", "0", "--out-dir", "run",
     ]
+    # the DCD kernel at a temperature that fits the grid's pitch: at the default
+    # T = 1000 its gradient is about 0
+    runs["optimize-dcd-loss-t10"] = [
+        *BENCH, "--objective", "dcd-loss", "--dcd-temperature", "10", "--out-dir", "run",
+    ]
+    # the DCD kernel on the kd-tree path, where targets draw several matches
+    runs["optimize-dcd-loss-tree"] = [
+        "optimize", "--init", "pred.xyz", "--target", "c.xyz", "--objective", "dcd-loss",
+        "--dcd-temperature", "10", "--steps", "300", "--out-dir", "run",
+    ]
+    runs["optimize-uncertainty-r2"] = [
+        *BENCH, "--schedule", "uncertainty", "--r", "2", "--out-dir", "run",
+    ]
+    # one step of this size overflows the coordinates and the uncertainty state
+    runs["optimize-uncertainty-state-overflows"] = [
+        *BENCH, "--schedule", "uncertainty", "--tau", "10", "--theta", "20",
+        "--step-size", "1e308", "--steps", "3", "--out-dir", "run",
+    ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
     return runs
