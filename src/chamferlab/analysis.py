@@ -14,6 +14,7 @@ from .metrics import chamfer_l1, dcd
 from .objective import FcdWeights, fcd, fcd_gradient
 
 _CD_WEIGHTS = FcdWeights(1.0, 1.0)
+_MIDPOINT = "lies on the ambiguous midpoint; exclude it"  # a MidpointAmbiguityError
 
 
 def _vec2(v, name: str) -> np.ndarray:
@@ -23,15 +24,30 @@ def _vec2(v, name: str) -> np.ndarray:
     return arr
 
 
+def _stalemate_problem(p2: np.ndarray, g1: np.ndarray, g2: np.ndarray, p1: np.ndarray):
+    """What keeps the free point p2 out of the configuration the closed forms assume, or
+    None: g1's nearest prediction is p1, p2 is off the midpoint and strictly between the
+    targets, and g2's nearest prediction is p2 (strictly: a tie goes to p1, the lower index)."""
+    d1, d2 = np.linalg.norm(p2 - g1), np.linalg.norm(p2 - g2)
+    if d1 <= np.linalg.norm(p1 - g1):
+        return "violates the validity condition |p2-g1| > |p1-g1|"
+    if d1 == d2:
+        return _MIDPOINT
+    span = g2 - g1
+    if not 0.0 < np.dot(p2 - g1, span) / np.dot(span, span) < 1.0:
+        return "does not lie strictly between g1 and g2"
+    if not d2 < np.linalg.norm(p1 - g2):
+        return "violates the validity condition |p2-g2| < |p1-g2|"
+    return None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Two fixed targets, one matched point, and abscissae for the free point.
 
-    The free point moves along (x, 0); every abscissa must keep it farther
-    from the first target than the matched point is (so the matched pairing
-    stays stable) and strictly between the targets, and the midpoint between
-    the targets is excluded because the nearest-neighbor assignment is
-    ambiguous there.
+    The free point moves along (x, 0); every abscissa must put it in the
+    configuration that ``closed_form_gradients`` accepts, so that ``sweep``
+    accepts every x.
     """
 
     g1: np.ndarray
@@ -50,20 +66,10 @@ class SweepConfig:
         if not (np.diff(xs) > 0).all():
             raise InvalidInputError("xs must be strictly increasing")
         object.__setattr__(self, "xs", xs)
-        anchor_dist = np.linalg.norm(self.p1 - self.g1)
-        span = self.g2 - self.g1
         for x in xs:
-            p2 = np.array([x, 0.0])
-            d1 = np.linalg.norm(p2 - self.g1)
-            if d1 <= anchor_dist:
-                raise InvalidInputError(
-                    f"x={x} violates the validity condition |p2-g1| > |p1-g1|"
-                )
-            if d1 == np.linalg.norm(p2 - self.g2):
-                raise InvalidInputError(f"x={x} lies on the ambiguous midpoint; exclude it")
-            # closed_form_gradients' test, so that sweep() accepts every x
-            if not 0.0 < np.dot(p2 - self.g1, span) / np.dot(span, span) < 1.0:
-                raise InvalidInputError(f"x={x} does not lie strictly between g1 and g2")
+            problem = _stalemate_problem(np.array([x, 0.0]), self.g1, self.g2, self.p1)
+            if problem is not None:
+                raise InvalidInputError(f"x={x} {problem}")
 
 
 def default_sweep_config(weights: FcdWeights = FcdWeights(1.0, 2.0), x_min: float = 0.6,
@@ -117,24 +123,18 @@ def closed_form_gradients(
 ) -> ClosedFormGradients:
     """Analytic stalemate-scenario gradients at the free point p2.
 
-    Requires the configuration the analysis assumes: p2 strictly between the
-    two targets, farther from g1 than the matched point p1 is, and not on the
-    midpoint (where the local assignment is ambiguous).
+    Requires the configuration the analysis assumes (see ``_stalemate_problem``):
+    MidpointAmbiguityError on the midpoint, where the local assignment is
+    ambiguous, and InvalidInputError off the configuration elsewhere.
     """
     p2 = _vec2(p2, "p2")
     g1 = _vec2(g1, "g1")
     g2 = _vec2(g2, "g2")
     p1 = _vec2(p1, "p1")
-    span = g2 - g1
-    t = float(np.dot(p2 - g1, span) / np.dot(span, span))
-    if not 0.0 < t < 1.0:
-        raise InvalidInputError("p2 must lie strictly between g1 and g2")
-    if np.linalg.norm(p2 - g1) <= np.linalg.norm(p1 - g1):
-        raise InvalidInputError("validity condition |p2-g1| > |p1-g1| violated")
-    d1 = np.linalg.norm(p2 - g1)
-    d2 = np.linalg.norm(p2 - g2)
-    if d1 == d2:
-        raise MidpointAmbiguityError("p2 sits on the midpoint; the assignment is ambiguous")
+    problem = _stalemate_problem(p2, g1, g2, p1)
+    if problem is not None:
+        error = MidpointAmbiguityError if problem == _MIDPOINT else InvalidInputError
+        raise error(f"p2=({p2[0]}, {p2[1]}) {problem}")
     return ClosedFormGradients(
         cd_l1=_two_point_gradient(p2, g1, g2, _CD_WEIGHTS, 1),
         fcd_l1=_two_point_gradient(p2, g1, g2, weights, 1),

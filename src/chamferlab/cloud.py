@@ -237,9 +237,10 @@ def nearest_hit_counts(queries: PointCloud, index: NNIndex) -> np.ndarray:
 def subsample(cloud: PointCloud, n: int, method: str = "random", seed: int = 0) -> PointCloud:
     """Draw n points from a cloud, deterministically for a fixed seed.
 
-    ``random`` samples without replacement; ``farthest-point`` greedily
-    maximizes the minimum distance to already-selected points, starting from
-    the lowest-index point. Selected points are returned in ascending
+    Both methods select n distinct indices. ``random`` samples without replacement;
+    ``farthest-point`` starts from index 0 and then greedily takes the unselected
+    point farthest from the selected ones, the lowest index on ties (so duplicate
+    points are taken once all gaps are 0). Selected points are returned in ascending
     original-index order, so n == len(cloud) reproduces the input exactly.
     """
     if not 1 <= n <= len(cloud):
@@ -252,11 +253,12 @@ def subsample(cloud: PointCloud, n: int, method: str = "random", seed: int = 0) 
         chosen = np.empty(n, dtype=np.intp)
         chosen[0] = 0
         min_sq = _row_sq_dists(pts, pts[0])
+        min_sq[0] = -1.0  # a selected row sits below every distance
         for k in range(1, n):
             nxt = int(np.argmax(min_sq))  # first maximum = lowest index on ties
             chosen[k] = nxt
-            cand = _row_sq_dists(pts, pts[nxt])
-            np.minimum(min_sq, cand, out=min_sq)
+            np.minimum(min_sq, _row_sq_dists(pts, pts[nxt]), out=min_sq)
+            min_sq[nxt] = -1.0
     else:
         raise InvalidInputError(f"unknown subsample method {method!r}")
     return PointCloud(cloud.points[np.sort(chosen)])

@@ -115,6 +115,10 @@ def _read_ply_elements(path) -> dict[str, tuple[list[str], list[tuple[int, list[
             if len(rows) < count:
                 raise InvalidInputError(f"{path}: PLY body ends inside element {name!r}")
             elements[name] = props, rows
+        for lineno, line in lines:  # blank lines may follow the last element, nothing else
+            if tokens := line.split():
+                raise InvalidInputError(f"{path}:{lineno}: PLY row after the last declared "
+                                        f"element: {' '.join(tokens)!r}")
     return elements
 
 

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 
 from .cloud import Matching, PointCloud, TriangleMesh, _check_pair, _row_sq_dists
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 
 EMD_EXACT_MAX = 1024
 # emd_approx: a scaling-domain product outside [1/SCALING_RANGE, SCALING_RANGE]
@@ -143,6 +143,8 @@ def emd_exact(p: PointCloud, g: PointCloud) -> float:
     # imported here, not at module top: only an exact assignment needs scipy.optimize
     from scipy.optimize import linear_sum_assignment
     cost = _pair_costs(p.points, g.points)
+    if not np.isfinite(cost).all():  # linear_sum_assignment would call it infeasible
+        raise NumericalError("a pairwise distance is not finite")
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / len(p)
 
@@ -359,7 +361,8 @@ def report(pred: PointCloud, gt: PointCloud, fscore_threshold: float, dcd_temper
     """Every metric of pred against gt, in field order; p2f needs ``mesh``, fidelity
     ``partial``. EMD is exact for equal sizes of at most EMD_EXACT_MAX points, else
     ``emd_approx(pred, gt, *sinkhorn)``; without ``sinkhorn`` it is None for unequal
-    sizes and an error for equal ones. InvalidInputError names the metric that raised it.
+    sizes and an error for equal ones. InvalidInputError and NumericalError name the
+    metric that raised them, and a value that is not finite is a NumericalError.
     """
     def emd() -> float | None:
         if len(pred) == len(gt) and len(pred) <= EMD_EXACT_MAX:
@@ -387,6 +390,8 @@ def report(pred: PointCloud, gt: PointCloud, fscore_threshold: float, dcd_temper
     for name, metric in metrics.items():
         try:
             values[name] = None if metric is None else metric()
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{name}: {exc}") from exc
+        except (InvalidInputError, NumericalError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
+        if values[name] is not None and not np.isfinite(values[name]):
+            raise NumericalError(f"{name}: the value is not finite ({values[name]})")
     return MetricReport(**values)

@@ -202,14 +202,14 @@ def uncertainty_loss(
 ) -> tuple[float, tuple[float, float]]:
     """Uncertainty-weighted total loss and its partials with respect to the state.
 
-    total = exp(-s_local) * local + exp(-s_global) * global + s_local + s_global.
-    The log terms penalize inflating a variance just to silence its loss.
+    total = exp(-s_local) * local + exp(-s_global) * global + s_local + s_global, the
+    weights being ``state.weights()``. The log terms penalize inflating a variance just
+    to silence its loss.
     """
     if local_loss < 0 or global_loss < 0:
         raise InvalidInputError("losses must be non-negative")
-    w_local = math.exp(-state.s_local)
-    w_global = math.exp(-state.s_global)
-    total = w_local * local_loss + w_global * global_loss + state.s_local + state.s_global
-    grad_local = -w_local * local_loss + 1.0
-    grad_global = -w_global * global_loss + 1.0
+    w = state.weights()
+    total = w.alpha * local_loss + w.beta * global_loss + state.s_local + state.s_global
+    grad_local = -w.alpha * local_loss + 1.0
+    grad_global = -w.beta * global_loss + 1.0
     return total, (grad_local, grad_global)

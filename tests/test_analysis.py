@@ -60,6 +60,30 @@ class TestClosedFormGradients:
         with pytest.raises(InvalidInputError):
             closed_form_gradients([5.0, 0.0], G1, G2, P1)  # beyond g2
 
+    def test_rejects_a_free_point_that_g2_does_not_match(self):
+        # off the segment, p1 is nearer g2 than p2 is: g2's coverage pull goes to p1
+        with pytest.raises(InvalidInputError, match=r"^p2=\(3\.9, 100\.0\) violates the "
+                           r"validity condition \|p2-g2\| < \|p1-g2\|$"):
+            closed_form_gradients([3.9, 100.0], G1, G2, P1, FcdWeights(1.0, 2.0))
+
+    def test_accepted_configurations_match_the_full_cloud_gradient(self, rng):
+        weights = FcdWeights(1.0, 2.0)
+        g = PointCloud(np.stack([G1, G2]))
+        cases = (("cd_l1", FcdWeights(1, 1), 1), ("fcd_l1", weights, 1),
+                 ("cd_l2", FcdWeights(1, 1), 2), ("fcd_l2", weights, 2))
+        accepted = 0
+        for p2 in rng.uniform([-2.0, -5.0], [6.0, 5.0], size=(2000, 2)):
+            try:
+                closed = closed_form_gradients(p2, G1, G2, P1, weights)
+            except InvalidInputError:
+                continue
+            accepted += 1
+            p = PointCloud(np.stack([P1, p2]))
+            for key, w, r in cases:
+                full = fcd_gradient(p, g, w, r)[1]
+                assert np.abs(full - getattr(closed, key)).max() <= 1e-12, (p2, key)
+        assert accepted >= 400
+
 
 class TestLemmaIdentities:
     def test_distance_gradients_at_random_pairs(self, rng):
@@ -133,6 +157,15 @@ class TestSweep:
             SweepConfig(base.g1, base.g2, base.p1, [3.0, 4.0, 4.5], base.weights)
         with pytest.raises(InvalidInputError, match=r"^x=4\.5 "):
             SweepConfig(base.g1, base.g2, base.p1, [3.0, 4.5], base.weights)
+
+    def test_rejects_abscissae_that_g2_does_not_match(self):
+        # targets above the free point's line: up to about x=2.15, p1 is nearer g2 than p2 is
+        g1, g2, p1 = [0.0, 1.0], [4.0, 1.0], [1.9, 1.0]
+        with pytest.raises(InvalidInputError, match=r"^x=2\.1 violates the validity "
+                           r"condition \|p2-g2\| < \|p1-g2\|$"):
+            SweepConfig(g1, g2, p1, [2.1, 3.0], FcdWeights(1.0, 2.0))
+        rows = sweep(SweepConfig(g1, g2, p1, [2.5, 3.0], FcdWeights(1.0, 2.0)))
+        assert [row.x for row in rows] == [2.5, 3.0]
 
     def test_default_abscissae_are_steps_from_x_min(self):
         xs = 0.6 + 0.1 * np.arange(29)

@@ -108,6 +108,29 @@ class TestMetricsCommand:
         # an unequal pair has an EMD only from the approximate solver
         assert emd["c.xyz", False] is None and emd["c.xyz", True] > 0
 
+    @pytest.mark.parametrize(
+        "pred, gt, flags, message",
+        [
+            ("big3", "big2", [], "cd_l1: the value is not finite (inf)"),
+            ("big1", "big2", [], "cd_l1: the value is not finite (inf)"),
+            ("big3", "big2", ["--emd-approx"], "cd_l1: the value is not finite (inf)"),
+            ("big1", "big1", [], "emd: a pairwise distance is not finite"),
+        ],
+        ids=["unequal", "equal", "unequal-emd-approx", "emd-only"],
+    )
+    def test_overflowing_metric_exits_4_naming_it(self, tmp_path, capsys, pred, gt, flags,
+                                                  message):
+        # finite coordinates whose squared differences leave the float range
+        for name, text in (("big3", "0 0 0\n1e200 0 0\n2 0 0\n"),
+                           ("big1", "0 0 0\n1e200 0 0\n"), ("big2", "0 0 0\n1 0 0\n")):
+            (tmp_path / f"{name}.xyz").write_text(text)
+        csv, out = tmp_path / "report.csv", tmp_path / "out"
+        argv = [str(tmp_path / f"{pred}.xyz"), str(tmp_path / f"{gt}.xyz"), *flags]
+        assert main(["metrics", *argv, "--csv", str(csv), "--out-dir", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not csv.exists() and not out.exists()
+
     def test_out_dir_writes_report_and_manifest(self, fixture_files, tmp_path, capsys):
         pred, gt = fixture_files
         out = tmp_path / "out"
@@ -550,6 +573,17 @@ class TestBatchCommand:
             assert batch.out.strip().split("\n")[1].split(",")[4] == repr(report["emd"])
         else:
             assert code == 3 and "emd" in single.err
+
+    def test_overflowing_metric_exits_4_naming_it(self, tmp_path, capsys):
+        d = tmp_path / "pairs"
+        d.mkdir()
+        (d / "far_pred.xyz").write_text("0 0 0\n1e200 0 0\n2 0 0\n")
+        (d / "far_gt.xyz").write_text("0 0 0\n1 0 0\n")
+        table = tmp_path / "table.csv"
+        assert main(["batch", "--dir", str(d), "--out", str(table)]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: cd_l1: the value is not finite (inf)\n")
+        assert not table.exists()
 
     def test_bad_parallelism_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -358,6 +358,28 @@ class TestSubsample:
         # starting corner plus the diagonally opposite one
         assert out.points.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
+    def test_farthest_point_full_size_with_duplicates_is_identity(self):
+        # once every unchosen distance is 0, no chosen point may be picked again
+        for rows in ([[0, 0], [1, 0], [1, 0]], [[2, 2], [2, 2], [2, 2]],
+                     [[0, 0], [0, 0], [5, 1], [5, 1], [0, 0]]):
+            cloud = PointCloud(rows)
+            assert subsample(cloud, len(cloud), "farthest-point") == cloud
+
+    def test_farthest_point_selection_of_distinct_points(self, rng):
+        def greedy(points, n):  # each pick: the lowest index of the largest gap to the picks
+            chosen = [0]
+            while len(chosen) < n:
+                gaps = [-1.0 if i in chosen else min(((q - points[c]) ** 2).sum() for c in chosen)
+                        for i, q in enumerate(points)]
+                chosen.append(int(np.argmax(gaps)))
+            return points[sorted(chosen)]
+
+        lattice = np.array([[i, j, k] for i in range(3) for j in range(3) for k in range(2)], float)
+        for points in (random_cloud(rng, 40).points, lattice):
+            for n in (1, 5, 13, len(points)):
+                out = subsample(PointCloud(points), n, "farthest-point")
+                assert (out.points == greedy(points, n)).all()
+
     def test_random_is_deterministic_per_seed(self, rng):
         cloud = random_cloud(rng, 50)
         a = subsample(cloud, 20, "random", seed=11)

@@ -160,6 +160,29 @@ def test_read_ply_mesh_rejects_short_rows(tmp_path, capsys, row, short, line, pr
     assert f"short.ply:{line}:" in capsys.readouterr().err
 
 
+def test_read_ply_rejects_rows_after_the_last_element(tmp_path, capsys):
+    # one declared face and two face rows: the second must not be dropped unread
+    path = tmp_path / "extra.ply"
+    path.write_text(PLY_MESH.replace("element face 3", "element face 1").replace("3 0 1 3\n", ""))
+    expected = f"{path}:15: PLY row after the last declared element: '3 1 3 2'"
+    for read in (read_ply, read_ply_mesh):
+        with pytest.raises(InvalidInputError) as err:
+            read(path)
+        assert str(err.value) == expected
+    cloud = tmp_path / "q.xyz"
+    cloud.write_text("0.9 0.9 0\n0.1 0.1 0\n")
+    assert main(["metrics", str(cloud), str(cloud), "--mesh", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {expected}\n")
+
+
+def test_read_ply_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "blank.ply"
+    path.write_text(PLY_MESH + "\n  \n\n")
+    assert len(read_ply_mesh(path)) == 2
+    assert len(read_ply(path)) == 4
+
+
 def test_read_ply_mesh_names_the_first_out_of_range_face(tmp_path):
     path = tmp_path / "oor.ply"
     path.write_text(PLY_MESH.replace("3 1 3 2\n", "3 1 3 9\n").replace("3 0 1 3\n", "3 0 1 -1\n"))

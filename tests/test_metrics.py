@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 from chamferlab import (
     InvalidInputError,
     MetricReport,
+    NumericalError,
     PointCloud,
     TriangleMesh,
     cd_global,
@@ -290,6 +291,12 @@ class TestEmd:
         big = PointCloud(rng.random((1025, 3)))
         with pytest.raises(InvalidInputError, match="emd_approx"):
             emd_exact(big, big)
+
+    def test_overflowing_costs_are_a_numerical_error(self):
+        # finite coordinates whose squared differences leave the float range
+        far = PointCloud([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+        with pytest.raises(NumericalError, match="^a pairwise distance is not finite$"):
+            emd_exact(far, far)
 
 
 class TestEmdApprox:
@@ -675,6 +682,16 @@ class TestReport:
             report(pred, gt, -1.0, float("nan"), (10, 0.0))
         with pytest.raises(InvalidInputError, match=r"^emd: epsilon"):
             report(pred, gt, -1.0, 30.0, (10, 0.0))
+
+    def test_a_value_that_is_not_finite_names_its_metric(self):
+        far = PointCloud([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        near = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(NumericalError, match=r"^cd_l1: the value is not finite \(inf\)$"):
+            report(far, near, 0.2, 30.0)
+        # every nearest-neighbour distance is 0, but not every pairwise one
+        pair = PointCloud(far.points[:2])
+        with pytest.raises(NumericalError, match="^emd: a pairwise distance is not finite$"):
+            report(pair, pair, 0.2, 30.0)
 
     @pytest.mark.parametrize("with_partial, passes", [(False, 10), (True, 11)])
     def test_one_matching_per_metric(self, rng, nn_calls, with_partial, passes):

@@ -277,6 +277,12 @@ class TestUncertaintyLoss:
             with pytest.raises(NumericalError, match=f"^uncertainty weights {word}$"):
                 state.weights()
 
+    def test_loss_past_the_float_range_is_the_weights_numerical_error(self):
+        for state, word in [(UncertaintyState(-1000.0, 0.0), "overflowed"),
+                            (UncertaintyState(0.0, 1000.0), "underflowed")]:
+            with pytest.raises(NumericalError, match=f"^uncertainty weights {word}$"):
+                uncertainty_loss(1.0, 1.0, state)
+
     def test_state_gradients_match_finite_differences(self, rng):
         step = 1e-7
         for _ in range(25):

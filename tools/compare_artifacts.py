@@ -9,8 +9,9 @@ executed once per tree, as ``python -m chamferlab.cli ARGV`` in a fresh
 interpreter and a fresh temporary directory that holds the same input files.
 Paths in argv are relative, so manifests can match byte for byte. The script
 prints every difference in stdout, stderr, exit status or any file the run
-leaves behind, and exits 1 if there is one, 0 otherwise. Standard library
-only: it must not depend on the code it compares.
+leaves behind, and exits 1 if there is one, 0 otherwise. The path of each
+tree reads as ``SRC`` in stdout and stderr, where a numpy warning names its
+source file. Standard library only: it must not depend on the code it compares.
 """
 
 from __future__ import annotations
@@ -114,6 +115,17 @@ def _runs() -> dict[str, list[str]]:
         "metrics-ply-mesh-duplicate-face-element": [
             "metrics", "pred.xyz", "gt.xyz", "--mesh", "dup_face.ply",
         ],
+        # a face row after the last declared element: rejected at its line, not dropped
+        "metrics-ply-mesh-rows-after-last-element": [
+            "metrics", "q.xyz", "q.xyz", "--mesh", "extra.ply",
+        ],
+        # finite coordinates whose squared differences overflow: the first metric that is
+        # not finite names itself
+        "metrics-huge-coordinates-equal": ["metrics", "huge1.xyz", "huge2.xyz"],
+        "metrics-huge-coordinates-unequal": ["metrics", "huge3.xyz", "huge2.xyz"],
+        "metrics-huge-coordinates-unequal-emd-approx": [
+            "metrics", "huge3.xyz", "huge2.xyz", "--emd-approx",
+        ],
     }
     for kind in SCHEDULE_KINDS:
         runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
@@ -161,6 +173,7 @@ def _runs() -> dict[str, list[str]]:
     # equal suffixes would pair each file with itself
     runs["batch-equal-suffixes"] = ["batch", "--dir", "pairs", "--gt-suffix", "_pred"]
     runs["batch-empty-dir"] = ["batch", "--dir", "empty"]
+    runs["batch-huge-coordinates"] = ["batch", "--dir", "pairs_huge"]
     runs["ambiguity"] = ["ambiguity", "--out-dir", "ambiguity"]
     optimize = {
         "default": [],
@@ -342,6 +355,13 @@ def _write_inputs(root: Path) -> None:
     files["pairs_suffix/x_predicted_gt.xyz"] = _cloud(rng, 12)
     files["far_p.xyz"] = "0 0\n1 0\n"
     files["far_g.xyz"] = "100 0\n101 0\n"
+    files["q.xyz"] = "0.9 0.9 0\n0.1 0.1 0\n"
+    files["extra.ply"] = _ply(["0 0 0", "1 0 0", "0 1 0", "1 1 0"], ["3 0 1 2"]) + "3 1 3 2\n"
+    files["huge1.xyz"] = "0 0 0\n1e200 0 0\n"
+    files["huge2.xyz"] = "0 0 0\n1 0 0\n"
+    files["huge3.xyz"] = files["huge1.xyz"] + "2 0 0\n"
+    files["pairs_huge/far_pred.xyz"] = files["huge3.xyz"]
+    files["pairs_huge/far_gt.xyz"] = files["huge2.xyz"]
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
@@ -358,10 +378,12 @@ def _run(src: Path, argv: list[str]) -> dict[str, bytes]:
         proc = subprocess.run(
             [sys.executable, "-m", "chamferlab.cli", *argv], cwd=root, env=env, capture_output=True
         )
+        # a numpy warning names the source file it came from: the same line in either tree
+        tree = str(src).encode()
         result = {
             "exit status": str(proc.returncode).encode(),
-            "stdout": proc.stdout,
-            "stderr": proc.stderr,
+            "stdout": proc.stdout.replace(tree, b"SRC"),
+            "stderr": proc.stderr.replace(tree, b"SRC"),
         }
         for path in sorted(root.rglob("*")):
             if path.is_file():
