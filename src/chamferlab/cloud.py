@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -180,6 +181,23 @@ def _check_pair(p: PointCloud, g: PointCloud) -> None:
         raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
 
 
+def _check_int(name: str, value) -> None:
+    """InvalidInputError unless value is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value}")
+
+
+def _whole_numbers(name: str, values) -> np.ndarray:
+    """``values`` as an intp array; InvalidInputError unless each entry is a whole number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must hold whole numbers, got {arr.dtype} entries")
+    bad = arr[~(np.isfinite(arr) & (np.floor(arr) == arr))]
+    if bad.size:
+        raise InvalidInputError(f"{name} must hold whole numbers, got {bad[0]}")
+    return arr.astype(np.intp)
+
+
 class Matching:
     """Both nearest-neighbor directions between a prediction p and a target g.
 
@@ -198,34 +216,25 @@ class Matching:
         _check_pair(p, g)
         self.p = p
         self.g = g
-        self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = self._block = None
-        if max(len(p), len(g)) <= _BRUTE_FORCE_MAX:
-            self._block = _row_sq_dists(p.points[:, None], g.points[None])
+        small = max(len(p), len(g)) <= _BRUTE_FORCE_MAX
+        self._block = _row_sq_dists(p.points[:, None], g.points[None]) if small else None
 
-    @property
+    @cached_property
     def p_to_g(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._p_to_g is None:
-            self._p_to_g = nearest_neighbors(self.p.points, self.g, block=self._block)
-        return self._p_to_g
+        return nearest_neighbors(self.p.points, self.g, block=self._block)
 
-    @property
+    @cached_property
     def g_to_p(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._g_to_p is None:
-            block = None if self._block is None else self._block.T
-            self._g_to_p = nearest_neighbors(self.g.points, self.p, block=block)
-        return self._g_to_p
+        block = None if self._block is None else self._block.T
+        return nearest_neighbors(self.g.points, self.p, block=block)
 
-    @property
+    @cached_property
     def hits_on_g(self) -> np.ndarray:
-        if self._hits_on_g is None:
-            self._hits_on_g = np.bincount(self.p_to_g[0], minlength=len(self.g))
-        return self._hits_on_g
+        return np.bincount(self.p_to_g[0], minlength=len(self.g))
 
-    @property
+    @cached_property
     def hits_on_p(self) -> np.ndarray:
-        if self._hits_on_p is None:
-            self._hits_on_p = np.bincount(self.g_to_p[0], minlength=len(self.p))
-        return self._hits_on_p
+        return np.bincount(self.g_to_p[0], minlength=len(self.p))
 
 
 def nearest_hit_counts(queries: PointCloud, index: NNIndex) -> np.ndarray:
@@ -243,6 +252,7 @@ def subsample(cloud: PointCloud, n: int, method: str = "random", seed: int = 0) 
     points are taken once all gaps are 0). Selected points are returned in ascending
     original-index order, so n == len(cloud) reproduces the input exactly.
     """
+    _check_int("n", n)
     if not 1 <= n <= len(cloud):
         raise InvalidInputError(f"n must be in [1, {len(cloud)}], got {n}")
     if method == "random":
@@ -273,7 +283,7 @@ class TriangleMesh:
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=np.float64)
-        tris = np.asarray(self.triangles, dtype=np.intp)
+        tris = _whole_numbers("triangles", self.triangles)
         if verts.ndim != 2 or verts.shape[1] != 3:
             raise InvalidInputError(f"vertices must be (m, 3), got shape {verts.shape}")
         if not np.isfinite(verts).all():

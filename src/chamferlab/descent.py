@@ -8,10 +8,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cloud import Matching, PointCloud, _check_pair, subsample
+from .cloud import Matching, PointCloud, _check_int, _check_pair, _whole_numbers, subsample
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .metrics import EMD_EXACT_MAX, chamfer_l1, dcd, emd_exact
-from .metrics import _check_positive, _check_r
+from .metrics import _CD_L1, _CD_L2, _DCD, _check_positive, _check_r
 from .objective import (
     FcdWeights,
     ScheduleSpec,
@@ -23,9 +23,9 @@ from .objective import (
 
 DIVERGENCE_FACTOR = 1e6
 OBJECTIVE_KINDS = ("cd-l1", "cd-l2", "fcd", "dcd-loss")
-# the (weights, r) that every kind but fcd fixes; dcd-loss weights its two DCD terms by 1/2
-_FIXED_WEIGHTS = {"cd-l1": (FcdWeights(0.5, 0.5), 1), "cd-l2": (FcdWeights(1.0, 1.0), 2),
-                  "dcd-loss": (FcdWeights(0.5, 0.5), 1)}
+# the (weights, r) that every kind but fcd fixes: those of the metric it descends
+_FIXED_WEIGHTS = {kind: (FcdWeights(alpha, beta), r) for kind, (alpha, beta, r)
+                  in (("cd-l1", _CD_L1), ("cd-l2", _CD_L2), ("dcd-loss", _DCD))}
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,13 @@ class OptimizerConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        _check_int("steps", self.steps)
         if self.steps < 1:
             raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
         _check_positive("step_size", self.step_size)
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise InvalidInputError(f"momentum_coeff must lie in [0, 1), got {self.momentum_coeff}")
+        _check_int("record_every", self.record_every)
         if self.record_every < 1:
             raise InvalidInputError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -52,10 +54,9 @@ class OptimizerConfig:
 class ObjectiveSpec:
     """Which loss drives the descent.
 
-    cd-l1 and cd-l2 are the symmetric Chamfer conventions (weights (1/2, 1/2)
-    with plain distances, and (1, 1) with squared distances, respectively);
-    fcd takes explicit weights or a schedule; dcd-loss descends the
-    density-aware distance directly.
+    cd-l1, cd-l2 and dcd-loss descend chamfer_l1, chamfer_l2 and dcd, at the
+    fixed weights and distance order of that metric; fcd takes explicit weights
+    or a schedule.
     """
 
     kind: str
@@ -112,6 +113,7 @@ class HierarchySpec:
     offset_scale: float = 1e-3
 
     def __post_init__(self):
+        _check_int("children_per_coarse", self.children_per_coarse)
         if self.children_per_coarse < 1:
             raise InvalidInputError("children_per_coarse must be >= 1")
         if not 0 <= self.offset_scale < math.inf:
@@ -120,7 +122,7 @@ class HierarchySpec:
 
 def support_pinning(cloud: PointCloud, pinned) -> np.ndarray:
     """Validate pin indices against a cloud; pinned points never move."""
-    idx = np.unique(np.asarray(list(pinned), dtype=np.intp).reshape(-1))
+    idx = np.unique(_whole_numbers("pinned", list(pinned)).reshape(-1))
     if idx.size and (idx.min() < 0 or idx.max() >= len(cloud)):
         raise InvalidInputError(f"pinned indices out of range for cloud of size {len(cloud)}")
     return idx
@@ -178,7 +180,7 @@ class _Loss:
         weights = self.weights
         if self.schedule is not None:
             weights = schedule_weights(self.schedule, min(epoch, self.schedule.T), self.state)
-        local, glob, grad = _value_grad(m, weights, self.r, self.temperature)
+        local, glob, grad = _value_grad(m, weights.alpha, weights.beta, self.r, self.temperature)
         if self.state is None:
             return weights.alpha * local + weights.beta * glob, grad, weights, None
         value, state_grad = uncertainty_loss(local, glob, self.state)

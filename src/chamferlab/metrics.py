@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
-from .cloud import Matching, PointCloud, TriangleMesh, _check_pair, _row_sq_dists
+from .cloud import Matching, PointCloud, TriangleMesh, _check_int, _check_pair, _row_sq_dists
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError, NumericalError
 
@@ -22,6 +22,10 @@ SCALING_RANGE = 1e100
 P2M_SLACK = 2.0**-40
 # the pairs (point-triangle, or cells of a dense EMD matrix) built at once
 PAIR_CHUNK = 1 << 16
+# the fixed (alpha, beta, r) of chamfer_l1 (halved), chamfer_l2 (unhalved) and dcd (halved)
+_CD_L1 = (0.5, 0.5, 1)
+_CD_L2 = (1.0, 1.0, 2)
+_DCD = (0.5, 0.5, 1)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -50,10 +54,13 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 def _pair_costs(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The (len(p), len(g)) Euclidean cost matrix, filled in row blocks: the
     same values as ``np.sqrt(_row_sq_dists(p[:, None], g[None]))`` without its
-    full-size temporaries."""
+    full-size temporaries. NumericalError if a cost is not finite, which neither
+    EMD solver can use."""
     cost = np.empty((len(p), len(g)))
     for blk in _row_blocks(len(p), len(g)):
         np.sqrt(_row_sq_dists(p[blk, None], g[None]), out=cost[blk])
+    if not np.isfinite(cost).all():  # past about 1e154 apart, a squared difference overflows
+        raise NumericalError("a pairwise distance is not finite")
     return cost
 
 
@@ -76,6 +83,13 @@ def _terms(m: Matching, side: int, r: int = 1, temperature: float | None = None)
     e = np.exp(-temperature * d)
     hits = (m.hits_on_p if side else m.hits_on_g)[idx]
     return 1.0 - e / hits, temperature * e / hits
+
+
+def _weighted(m: Matching, alpha: float, beta: float, r: int = 1,
+              temperature: float | None = None) -> float:
+    """alpha times the mean of m's p -> g ``_terms`` plus beta times that of its g -> p terms."""
+    local = _mean(_terms(m, 0, r, temperature)[0])
+    return alpha * local + beta * _mean(_terms(m, 1, r, temperature)[0])
 
 
 def cd_local(p: PointCloud, g: PointCloud, r: int = 1, *,
@@ -103,14 +117,12 @@ def cd_global(p: PointCloud, g: PointCloud, r: int = 1, *,
 
 def chamfer_l1(p: PointCloud, g: PointCloud, *, matching: Matching | None = None) -> float:
     """Symmetric Chamfer distance with Euclidean terms, halved."""
-    m = _matched(p, g, matching)
-    return 0.5 * (cd_local(p, g, 1, matching=m) + cd_global(p, g, 1, matching=m))
+    return _weighted(_matched(p, g, matching), *_CD_L1)
 
 
 def chamfer_l2(p: PointCloud, g: PointCloud) -> float:
     """Symmetric Chamfer distance with squared-Euclidean terms (no halving)."""
-    m = Matching(p, g)
-    return cd_local(p, g, 2, matching=m) + cd_global(p, g, 2, matching=m)
+    return _weighted(Matching(p, g), *_CD_L2)
 
 
 def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
@@ -123,8 +135,7 @@ def dcd(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     distance kernel.
     """
     _check_positive("temperature", temperature)
-    m = _matched(p, g, matching)
-    return 0.5 * sum(_mean(_terms(m, side, temperature=temperature)[0]) for side in (0, 1))
+    return _weighted(_matched(p, g, matching), *_DCD, temperature)
 
 
 def emd_exact(p: PointCloud, g: PointCloud) -> float:
@@ -143,8 +154,6 @@ def emd_exact(p: PointCloud, g: PointCloud) -> float:
     # imported here, not at module top: only an exact assignment needs scipy.optimize
     from scipy.optimize import linear_sum_assignment
     cost = _pair_costs(p.points, g.points)
-    if not np.isfinite(cost).all():  # linear_sum_assignment would call it infeasible
-        raise NumericalError("a pairwise distance is not finite")
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()) / len(p)
 
@@ -179,6 +188,7 @@ def emd_approx(
     """
     _check_pair(p, g)
     _check_positive("epsilon", epsilon)
+    _check_int("iterations", iterations)
     if iterations < 1:
         raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
     n, m = len(p), len(g)

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import Matching, PointCloud
+from .cloud import Matching, PointCloud, _check_int
 from .cloud import nearest_neighbors  # noqa: F401  (perfbench's tracer wraps this binding)
 from .errors import InvalidInputError, NumericalError
-from .metrics import _check_positive, _check_r, _matched, _mean, _terms, cd_global, cd_local
+from .metrics import _DCD, _check_positive, _check_r, _matched, _mean, _terms, _weighted
 
 SCHEDULE_KINDS = ("static", "stair", "linear", "abridged-linear", "exponential", "uncertainty")
 
@@ -60,9 +60,12 @@ class ScheduleSpec:
             )
         if not self.theta < math.inf:
             raise InvalidInputError(f"theta must be finite, got {self.theta}")
+        _check_int("T", self.T)
         # only stair and abridged-linear read t; linear divides by T
-        if self.kind in ("stair", "abridged-linear") and not 0 < self.t < self.T:
-            raise InvalidInputError(f"need 0 < t < T, got t={self.t}, T={self.T}")
+        if self.kind in ("stair", "abridged-linear"):
+            _check_int("t", self.t)
+            if not 0 < self.t < self.T:
+                raise InvalidInputError(f"need 0 < t < T, got t={self.t}, T={self.T}")
         if not self.T >= 1:
             raise InvalidInputError(f"need T >= 1, got T={self.T}")
         if self.kind == "exponential":  # no other kind reads sigma
@@ -104,8 +107,8 @@ def fcd(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, *,
         matching: Matching | None = None) -> float:
     """Weighted Chamfer objective: alpha * local-fit term + beta * coverage term."""
     m = _matched(p, g, matching)
-    local, coverage = cd_local(p, g, r, matching=m), cd_global(p, g, r, matching=m)
-    return weights.alpha * local + weights.beta * coverage
+    _check_r(r)
+    return _weighted(m, weights.alpha, weights.beta, r)
 
 
 def _direction(diff: np.ndarray, dist: np.ndarray, r: int) -> np.ndarray:
@@ -120,7 +123,7 @@ def _direction(diff: np.ndarray, dist: np.ndarray, r: int) -> np.ndarray:
     return np.divide(diff, norm, out=np.zeros_like(diff), where=norm > 0.0)
 
 
-def _value_grad(m: Matching, weights: FcdWeights, r: int, temperature: float | None):
+def _value_grad(m: Matching, alpha: float, beta: float, r: int, temperature: float | None):
     """The means of m's two directions of ``_terms`` and the gradient at m.p of alpha times
     the first plus beta times the second; NumericalError if it is not finite."""
     p, g = m.p, m.g
@@ -132,8 +135,8 @@ def _value_grad(m: Matching, weights: FcdWeights, r: int, temperature: float | N
         return weight * direction if factor is None else (weight * factor[:, None]) * direction
 
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
-        grad = scaled(weights.alpha / len(p), factor_p, _direction(p.points - g.points[gi], gd, r))
-        pull = scaled(weights.beta / len(g), factor_g, _direction(p.points[pi] - g.points, pd, r))
+        grad = scaled(alpha / len(p), factor_p, _direction(p.points - g.points[gi], gd, r))
+        pull = scaled(beta / len(g), factor_g, _direction(p.points[pi] - g.points, pd, r))
         np.add.at(grad, pi, pull)
     if not np.isfinite(grad).all():
         raise NumericalError("gradient contains non-finite entries")
@@ -150,7 +153,7 @@ def fcd_gradient(p: PointCloud, g: PointCloud, weights: FcdWeights, r: int = 1, 
     """
     m = _matched(p, g, matching)
     _check_r(r)
-    return _value_grad(m, weights, r, None)[2]
+    return _value_grad(m, weights.alpha, weights.beta, r, None)[2]
 
 
 def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
@@ -162,7 +165,7 @@ def dcd_gradient(p: PointCloud, g: PointCloud, temperature: float = 1000.0, *,
     """
     _check_positive("temperature", temperature)
     m = _matched(p, g, matching)
-    return _value_grad(m, FcdWeights(0.5, 0.5), 1, temperature)[2]
+    return _value_grad(m, *_DCD, temperature)[2]
 
 
 def schedule_weights(

@@ -399,6 +399,13 @@ class TestSubsample:
         with pytest.raises(InvalidInputError):
             subsample(random_cloud(rng, 5), 2, "stratified", seed=0)
 
+    def test_n_must_be_an_integer(self, rng):
+        cloud = random_cloud(rng, 5)
+        for method in ("random", "farthest-point"):
+            with pytest.raises(InvalidInputError, match="^n must be an integer, got 2.5$"):
+                subsample(cloud, 2.5, method)
+            assert subsample(cloud, np.int64(2), method) == subsample(cloud, 2, method)
+
     def test_output_points_come_from_input(self, rng):
         cloud = random_cloud(rng, 30)
         out = subsample(cloud, 10, "farthest-point", seed=0)
@@ -410,6 +417,16 @@ class TestTriangleMesh:
     def test_valid_mesh(self):
         mesh = TriangleMesh([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
         assert len(mesh) == 1
+
+    def test_rejects_fractional_indices(self):
+        verts = [[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]
+        with pytest.raises(InvalidInputError, match="^triangles must hold whole numbers, got 2.9$"):
+            TriangleMesh(verts, [[0, 1, 2.9]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="^triangles must hold whole numbers"):
+                TriangleMesh(verts, [[0, 1, bad]])
+        # whole numbers stored as floats name the same triangle
+        assert (TriangleMesh(verts, [[0.0, 1.0, 2.0]]).triangles == [[0, 1, 2]]).all()
 
     def test_rejects_out_of_range_indices(self):
         with pytest.raises(InvalidInputError):

@@ -46,11 +46,41 @@ def test_one_extra_line_is_one_difference(tmp_path):
     assert not list(changed.rglob("__pycache__"))  # the compared trees stay as they were
 
 
-def test_a_warning_that_names_its_tree_is_no_difference(tmp_path):
-    # numpy's overflow warning on stderr names the source file of the tree that ran
+def _copy(tmp_path: Path) -> Path:
     copy = tmp_path / "src"
     shutil.copytree(SRC / "chamferlab", copy / "chamferlab",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+def test_a_warning_that_names_its_tree_is_no_difference(tmp_path):
+    # numpy's overflow warning on stderr names the source file of the tree that ran
+    proc = _compare(SRC, _copy(tmp_path), "metrics-huge-coordinates-equal")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1 run(s) compared, 0 differences"
+
+
+def test_a_warning_whose_line_moved_is_no_difference(tmp_path):
+    # a blank line at the top of cloud.py moves the overflow warning's line number
+    copy = _copy(tmp_path)
+    cloud = copy / "chamferlab" / "cloud.py"
+    cloud.write_text("\n" + cloud.read_text())
     proc = _compare(SRC, copy, "metrics-huge-coordinates-equal")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "1 run(s) compared, 0 differences"
+
+
+def test_a_warning_whose_source_line_changed_is_a_difference(tmp_path):
+    # the warning echoes the line that raised it, which still counts
+    copy = _copy(tmp_path)
+    cloud = copy / "chamferlab" / "cloud.py"
+    text = cloud.read_text()
+    assert text.count("    sq = d * d\n") == 1
+    cloud.write_text(text.replace("    sq = d * d\n", "    sq = (d * d)\n"))
+    proc = _compare(SRC, copy, "metrics-huge-coordinates-equal")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("DIFF ")] == [
+        "DIFF metrics-huge-coordinates-equal: stderr"
+    ]
+    assert "+  sq = (d * d)" in [line.strip() for line in lines]

@@ -18,6 +18,8 @@ from chamferlab import (
     UncertaintyState,
     cd_global,
     cd_local,
+    chamfer_l1,
+    chamfer_l2,
     clustered_grid_benchmark,
     dcd,
     fcd,
@@ -96,6 +98,36 @@ class TestPinning:
         with pytest.raises(InvalidInputError):
             support_pinning(random_cloud(rng, 4), [4])
 
+    def test_fractional_index(self, rng):
+        cloud = random_cloud(rng, 4)
+        with pytest.raises(InvalidInputError, match="^pinned must hold whole numbers, got 0.7$"):
+            support_pinning(cloud, [0.7, 3.2])
+        assert support_pinning(cloud, np.array([3.0, 1.0])).tolist() == [1, 3]
+        assert support_pinning(cloud, []).size == 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OptimizerConfig(steps=2.5, step_size=0.05), "steps must be an integer, got 2.5"),
+        (lambda: OptimizerConfig(steps=10, step_size=0.05, record_every=2.5),
+         "record_every must be an integer, got 2.5"),
+        (lambda: HierarchySpec(2.5), "children_per_coarse must be an integer, got 2.5"),
+    ],
+    ids=["steps", "record_every", "children_per_coarse"],
+)
+def test_integer_settings_reject_fractions(build, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build()
+
+
+def test_integer_settings_take_numpy_integers():
+    config = OptimizerConfig(steps=np.int64(4), step_size=0.05, record_every=np.int32(2))
+    assert HierarchySpec(np.int64(2)).children_per_coarse == 2
+    init, target = clustered_grid_benchmark(16, seed=7)
+    _, trace = optimize(init, target, ObjectiveSpec("cd-l1"), config)
+    assert [rec.epoch for rec in trace.records] == [0, 2, 4]
+
 
 def test_deterministic_traces(rng):
     init, target = clustered_grid_benchmark(16, seed=7)
@@ -173,6 +205,22 @@ def test_loss_is_the_public_value_and_gradient(nn_calls, pair, objective, schedu
     assert got[0] == value
     assert np.array_equal(got[1], grad)
     assert got[2] == weights and got[3] == state_grad
+
+
+@pytest.mark.parametrize("pair", list(LOSS_PAIRS))
+@pytest.mark.parametrize(
+    "objective, metric",
+    [
+        (ObjectiveSpec("cd-l1"), chamfer_l1),
+        (ObjectiveSpec("cd-l2"), chamfer_l2),
+        (ObjectiveSpec("dcd-loss", dcd_temperature=10.0), lambda p, g: dcd(p, g, 10.0)),
+        (ObjectiveSpec("dcd-loss", dcd_temperature=1000.0), lambda p, g: dcd(p, g, 1000.0)),
+    ],
+    ids=["cd-l1", "cd-l2", "dcd-loss-t10", "dcd-loss-t1000"],
+)
+def test_fixed_kinds_descend_the_metric_value(pair, objective, metric):
+    p, g = LOSS_PAIRS[pair]
+    assert _Loss(objective, None).value_grad(Matching(p, g), 0)[0] == metric(p, g)
 
 
 def test_objective_decreases_without_assignment_switches(rng):

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from chamferlab import (
+    FcdWeights,
     InvalidInputError,
     MetricReport,
     NumericalError,
@@ -22,6 +23,7 @@ from chamferlab import (
     dcd,
     emd_approx,
     emd_exact,
+    fcd,
     fidelity,
     fscore,
     hausdorff,
@@ -359,6 +361,19 @@ class TestEmdApprox:
             with pytest.raises(InvalidInputError, match="epsilon"):
                 emd_approx(p, g, epsilon=epsilon)
 
+    def test_rejects_a_fractional_iteration_count(self, rng):
+        p, g = random_cloud(rng, 3), random_cloud(rng, 3)
+        with pytest.raises(InvalidInputError, match="^iterations must be an integer, got 2.5$"):
+            emd_approx(p, g, iterations=2.5)
+        assert emd_approx(p, g, iterations=np.int64(3)) == emd_approx(p, g, iterations=3)
+
+    def test_overflowing_costs_are_a_numerical_error(self):
+        # the exact solver's rule: the cost builder both solvers share rejects them
+        far = PointCloud([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        near = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(NumericalError, match="^a pairwise distance is not finite$"):
+            emd_approx(far, near)
+
     @pytest.mark.parametrize("epsilon", [0.01, 1e-4])
     def test_row_blocks_keep_every_iterate(self, rng, monkeypatch, epsilon, log_domain_steps):
         # 300-pair blocks: several per cost matrix and per rank-one patch
@@ -614,11 +629,26 @@ class TestFidelity:
 
 
 class TestSharedMatching:
-    def test_values_equal_fresh_matchings(self, rng):
-        p, g = random_cloud(rng, 90), random_cloud(rng, 70)
-        m = Matching(p, g)
-        assert chamfer_l1(p, g, matching=m) == chamfer_l1(p, g)
-        assert dcd(p, g, 50.0, matching=m) == dcd(p, g, 50.0)
+    VALUES = {
+        "fcd-r1": lambda p, g, **kw: fcd(p, g, FcdWeights(1.0, 2.0), 1, **kw),
+        "fcd-r2": lambda p, g, **kw: fcd(p, g, FcdWeights(1.0, 2.0), 2, **kw),
+        "chamfer_l1": chamfer_l1,
+        "dcd": lambda p, g, **kw: dcd(p, g, 50.0, **kw),
+        "cd_local": cd_local,
+        "cd_global": cd_global,
+    }
+
+    def test_values_equal_fresh_matchings(self, rng, nn_calls):
+        # the kd-tree path, then one distance block for both directions
+        for n, k in ((90, 70), (40, 30)):
+            p, g = random_cloud(rng, n), random_cloud(rng, k)
+            for name, value in self.VALUES.items():
+                m = Matching(p, g)
+                shared = value(p, g, matching=m)
+                assert shared == value(p, g), name
+                nn_calls.clear()
+                assert value(p, g, matching=m) == shared, name  # its searches are done
+                assert nn_calls == [], name
 
     def test_rejects_a_matching_of_another_pair(self, rng):
         p, g = random_cloud(rng, 5), random_cloud(rng, 6)

@@ -68,7 +68,7 @@ class TestFcdValue:
 
     def test_half_weights_euclidean_equals_chamfer_l1(self, rng):
         p, g = random_cloud(rng, 20), random_cloud(rng, 15)
-        assert fcd(p, g, FcdWeights(0.5, 0.5), 1) == pytest.approx(chamfer_l1(p, g), abs=1e-15)
+        assert fcd(p, g, FcdWeights(0.5, 0.5), 1) == chamfer_l1(p, g)
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(InvalidInputError):
@@ -254,6 +254,15 @@ class TestSchedules:
             with pytest.raises(InvalidInputError, match=name):
                 ScheduleSpec("exponential", **{name: value})
         ScheduleSpec("linear", sigma=-1.0)  # sigma is unused by linear
+
+    def test_epoch_counts_must_be_integers(self):
+        with pytest.raises(InvalidInputError, match="^T must be an integer, got 10.5$"):
+            ScheduleSpec("linear", T=10.5)
+        for kind in ("stair", "abridged-linear"):
+            with pytest.raises(InvalidInputError, match="^t must be an integer, got 100.5$"):
+                ScheduleSpec(kind, t=100.5)
+        ScheduleSpec("linear", t=100.5)  # t is unused by linear
+        assert ScheduleSpec("stair", t=np.int64(2), T=np.int64(4)).T == 4
 
 
 class TestUncertaintyLoss:

@@ -11,7 +11,10 @@ Paths in argv are relative, so manifests can match byte for byte. The script
 prints every difference in stdout, stderr, exit status or any file the run
 leaves behind, and exits 1 if there is one, 0 otherwise. The path of each
 tree reads as ``SRC`` in stdout and stderr, where a numpy warning names its
-source file. Standard library only: it must not depend on the code it compares.
+source file, and the line number after such a file as ``LINE``: a line added
+above the warning's source line moves it but changes no behaviour. The file,
+the warning and the echoed source line are still compared. Standard library
+only: it must not depend on the code it compares.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -37,6 +41,8 @@ DESCENT_GRID64_SEED7 = (
     ("uncertainty", 1469265225, ["--schedule", "uncertainty"]),
     ("dcd-loss", 1926751965, ["--objective", "dcd-loss"]),
 )
+# a warning's location in a tree, after its path reads as SRC
+WARNING_LOCATION = re.compile(rb"(SRC/[^\s:]+\.py):\d+:")
 
 
 def _runs() -> dict[str, list[str]]:
@@ -378,12 +384,17 @@ def _run(src: Path, argv: list[str]) -> dict[str, bytes]:
         proc = subprocess.run(
             [sys.executable, "-m", "chamferlab.cli", *argv], cwd=root, env=env, capture_output=True
         )
-        # a numpy warning names the source file it came from: the same line in either tree
+        # a numpy warning names the source file and line it came from: the same
+        # location in either tree, wherever the line sits in the file
         tree = str(src).encode()
+
+        def normalized(stream: bytes) -> bytes:
+            return WARNING_LOCATION.sub(rb"\1:LINE:", stream.replace(tree, b"SRC"))
+
         result = {
             "exit status": str(proc.returncode).encode(),
-            "stdout": proc.stdout.replace(tree, b"SRC"),
-            "stderr": proc.stderr.replace(tree, b"SRC"),
+            "stdout": normalized(proc.stdout),
+            "stderr": normalized(proc.stderr),
         }
         for path in sorted(root.rglob("*")):
             if path.is_file():
