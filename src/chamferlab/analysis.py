@@ -8,7 +8,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .cloud import Matching, PointCloud
+from .cloud import Matching, PointCloud, _check_seed
 from .errors import ConstructionError, InvalidInputError, MidpointAmbiguityError
 from .metrics import chamfer_l1, dcd
 from .objective import FcdWeights, fcd, fcd_gradient
@@ -245,6 +245,7 @@ def build_ambiguity_pair(
     if temperature is None:
         temperature = 2.0 / pitch
 
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-0.45 * pitch, 0.45 * pitch, size=grid.shape)
     uniform = PointCloud(grid + jitter)

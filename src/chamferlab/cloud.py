@@ -187,6 +187,12 @@ def _check_int(name: str, value) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value}")
 
 
+def _check_seed(seed) -> None:
+    """InvalidInputError unless seed is a non-negative Python or numpy integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _whole_numbers(name: str, values) -> np.ndarray:
     """``values`` as an intp array; InvalidInputError unless each entry is a whole number."""
     arr = np.asarray(values)
@@ -250,15 +256,20 @@ def subsample(cloud: PointCloud, n: int, method: str = "random", seed: int = 0) 
     ``farthest-point`` starts from index 0 and then greedily takes the unselected
     point farthest from the selected ones, the lowest index on ties (so duplicate
     points are taken once all gaps are 0). Selected points are returned in ascending
-    original-index order, so n == len(cloud) reproduces the input exactly.
+    original-index order; n == len(cloud) returns the input itself.
     """
     _check_int("n", n)
     if not 1 <= n <= len(cloud):
         raise InvalidInputError(f"n must be in [1, {len(cloud)}], got {n}")
     if method == "random":
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(cloud), size=n, replace=False)
-    elif method == "farthest-point":
+        _check_seed(seed)
+    elif method != "farthest-point":
+        raise InvalidInputError(f"unknown subsample method {method!r}")
+    if n == len(cloud):
+        return cloud
+    if method == "random":
+        chosen = np.random.default_rng(seed).choice(len(cloud), size=n, replace=False)
+    else:
         pts = cloud.points
         chosen = np.empty(n, dtype=np.intp)
         chosen[0] = 0
@@ -269,8 +280,6 @@ def subsample(cloud: PointCloud, n: int, method: str = "random", seed: int = 0) 
             chosen[k] = nxt
             np.minimum(min_sq, _row_sq_dists(pts, pts[nxt]), out=min_sq)
             min_sq[nxt] = -1.0
-    else:
-        raise InvalidInputError(f"unknown subsample method {method!r}")
     return PointCloud(cloud.points[np.sort(chosen)])
 
 

@@ -8,9 +8,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cloud import Matching, PointCloud, _check_int, _check_pair, _whole_numbers, subsample
+from .cloud import Matching, PointCloud, _check_int, _check_pair, _check_seed, _whole_numbers, subsample
 from .errors import DivergenceError, InvalidInputError, NumericalError
-from .metrics import EMD_EXACT_MAX, chamfer_l1, dcd, emd_exact
+from .metrics import chamfer_l1, dcd, emd_exact
 from .metrics import _CD_L1, _CD_L2, _DCD, _check_positive, _check_r
 from .objective import (
     FcdWeights,
@@ -45,6 +45,7 @@ class OptimizerConfig:
         _check_positive("step_size", self.step_size)
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise InvalidInputError(f"momentum_coeff must lie in [0, 1), got {self.momentum_coeff}")
+        _check_seed(self.seed)
         _check_int("record_every", self.record_every)
         if self.record_every < 1:
             raise InvalidInputError(f"record_every must be >= 1, got {self.record_every}")
@@ -130,8 +131,14 @@ def support_pinning(cloud: PointCloud, pinned) -> np.ndarray:
 
 def _snapshot(epoch: int, value: float, weights: FcdWeights, grad: np.ndarray,
               m: Matching, seed: int) -> TraceRecord:
-    """Trace record at m.p; its snapshot metrics reuse the step's matching of (m.p, m.g)."""
+    """Trace record at m.p; its snapshot metrics reuse the step's matching of (m.p, m.g),
+    and its emd is exact EMD on seeded random subsamples of min(128, n, m) points."""
     p, target = m.p, m.g
+    k = min(128, len(p), len(target))
+    try:
+        emd = emd_exact(subsample(p, k, "random", seed), subsample(target, k, "random", seed))
+    except NumericalError as exc:  # an overflowing cost names its column, as a report does
+        raise type(exc)(f"emd at step {epoch}: {exc}") from exc
     return TraceRecord(
         epoch=epoch,
         objective=value,
@@ -139,18 +146,8 @@ def _snapshot(epoch: int, value: float, weights: FcdWeights, grad: np.ndarray,
         beta=weights.beta,
         cd_l1=chamfer_l1(p, target, matching=m),
         dcd=dcd(p, target, matching=m),
-        emd=_snapshot_emd(p, target, seed),
+        emd=emd,
         grad_max=float(np.linalg.norm(grad, axis=1).max()),
-    )
-
-
-def _snapshot_emd(p: PointCloud, target: PointCloud, seed: int) -> float:
-    if len(p) == len(target) and len(p) <= EMD_EXACT_MAX:
-        return emd_exact(p, target)
-    k = min(128, len(p), len(target))
-    return emd_exact(
-        subsample(p, k, "random", seed),
-        subsample(target, k, "random", seed),
     )
 
 
@@ -247,10 +244,11 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
     records: list[TraceRecord] = []
     target, loss = stages[-1]
     center = target.points.mean(axis=0)
-    radius_sq = max(_radius_sq(x, center) for x in [*param.clouds(theta), target.points])
+    stage_points = param.clouds(theta)
+    radius_sq = max(_radius_sq(x, center) for x in [*stage_points, target.points])
     reach_sq = DIVERGENCE_FACTOR**2 * radius_sq  # radius of init and target about the centroid
     for step in range(config.steps + 1):
-        clouds = [PointCloud(points) for points in param.clouds(theta)]
+        clouds = [PointCloud(points) for points in stage_points]
         if max(_radius_sq(c.points, center) for c in clouds) > reach_sq:
             # hypot does not square, so a finite offset past 1e154 reports a finite distance
             spread = max(float(np.hypot.reduce(c.points - center, axis=1).max()) for c in clouds)
@@ -282,7 +280,8 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
                 velocity = config.momentum_coeff * velocity + grad
                 grad = velocity
             theta = theta - config.step_size * grad
-        if not np.isfinite(theta).all():
+            stage_points = param.clouds(theta)  # a coarse point plus its offset can overflow
+        if not all(np.isfinite(points).all() for points in stage_points):
             raise DivergenceError(f"coordinates became non-finite at step {step}")
         if state_grad is not None:
             s_local = loss.state.s_local - config.step_size * state_grad[0]
@@ -363,6 +362,7 @@ def clustered_grid_benchmark(n: int = 64, seed: int = 42) -> tuple[PointCloud, P
     axis = np.linspace(0.0, 1.0, side)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     target = PointCloud(np.column_stack([gx.ravel(), gy.ravel()]))
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     init = PointCloud(0.05 * rng.standard_normal((n, 2)))
     return init, target

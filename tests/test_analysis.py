@@ -223,6 +223,11 @@ class TestAmbiguityPair:
         b = build_ambiguity_pair(16, 2)
         assert a[1] != b[1]
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(InvalidInputError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            build_ambiguity_pair(16, seed)
+
     def test_cloud_sizes(self):
         clustered, uniform, target, _ = build_ambiguity_pair(18, 5)
         assert len(clustered) == len(uniform) == len(target) == 18

@@ -371,6 +371,29 @@ class TestOptimizeCommand:
         assert main(["sweep", "--alpha", "1.7e308"]) == 4
         assert capsys.readouterr().err == "error: gradient contains non-finite entries\n"
 
+    @pytest.mark.parametrize("source", ["benchmark", "files"])
+    def test_negative_seed_exits_3(self, tmp_path, capsys, source):
+        init, target, out = tmp_path / "init.xyz", tmp_path / "target.xyz", tmp_path / "run"
+        write_xyz(init, PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        write_xyz(target, PointCloud([[0.5, 0.0], [1.0, 1.0], [0.0, 2.0]]))
+        clouds = (["--benchmark", "clustered-grid"] if source == "benchmark"
+                  else ["--init", str(init), "--target", str(target)])
+        argv = ["optimize", *clouds, "--steps", "2", "--seed", "-1", "--out-dir", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    def test_overflowing_trace_emd_exits_4(self, tmp_path, capsys):
+        # the clouds coincide, so the descent rests; the trace's EMD cost overflows
+        cloud, out = tmp_path / "a.xyz", tmp_path / "run"
+        cloud.write_text("9e307 0\n0 0\n")
+        argv = ["optimize", "--init", str(cloud), "--target", str(cloud), "--steps", "2",
+                "--out-dir", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.endswith("error: emd at step 0: a pairwise distance is not finite\n"), err
+        assert not out.exists()
+
     def test_far_divergence_names_a_finite_distance(self, tmp_path, capsys):
         # the coordinates stay finite, but their squares pass the float range
         out = tmp_path / "run"
@@ -610,6 +633,12 @@ class TestAmbiguityCommand:
 
     def test_bad_n_exits_3(self, tmp_path, capsys):
         assert main(["ambiguity", "--n", "7", "--out-dir", str(tmp_path / "x")]) == 3
+
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["ambiguity", "--seed", "-1", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -344,8 +344,17 @@ class TestSubsample:
     def test_full_size_is_identity(self, rng):
         cloud = random_cloud(rng, 12)
         for method in ("random", "farthest-point"):
-            out = subsample(cloud, 12, method, seed=3)
-            assert out == cloud
+            assert subsample(cloud, 12, method, seed=3) is cloud
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    def test_random_seed_must_be_a_non_negative_integer(self, rng, seed):
+        cloud = random_cloud(rng, 5)
+        message = f"^seed must be a non-negative integer, got {seed}$"
+        for n in (2, 5):
+            with pytest.raises(InvalidInputError, match=message):
+                subsample(cloud, n, "random", seed=seed)
+        # farthest-point does not read the seed
+        assert subsample(cloud, 2, "farthest-point", seed=seed) == subsample(cloud, 2, "farthest-point")
 
     def test_farthest_point_starts_at_index_zero(self, rng):
         cloud = random_cloud(rng, 9)
@@ -396,8 +405,9 @@ class TestSubsample:
             subsample(cloud, 6, "random", seed=0)
 
     def test_unknown_method(self, rng):
-        with pytest.raises(InvalidInputError):
-            subsample(random_cloud(rng, 5), 2, "stratified", seed=0)
+        for n in (2, 5):
+            with pytest.raises(InvalidInputError, match="^unknown subsample method 'stratified'$"):
+                subsample(random_cloud(rng, 5), n, "stratified", seed=0)
 
     def test_n_must_be_an_integer(self, rng):
         cloud = random_cloud(rng, 5)

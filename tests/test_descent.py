@@ -11,6 +11,7 @@ from chamferlab import (
     HierarchySpec,
     InvalidInputError,
     Matching,
+    NumericalError,
     ObjectiveSpec,
     OptimizerConfig,
     PointCloud,
@@ -22,6 +23,7 @@ from chamferlab import (
     chamfer_l2,
     clustered_grid_benchmark,
     dcd,
+    emd_exact,
     fcd,
     fcd_gradient,
     optimize,
@@ -119,6 +121,16 @@ class TestPinning:
 def test_integer_settings_reject_fractions(build, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    message = f"^seed must be a non-negative integer, got {seed}$"
+    with pytest.raises(InvalidInputError, match=message):
+        OptimizerConfig(steps=2, step_size=0.01, seed=seed)
+    with pytest.raises(InvalidInputError, match=message):
+        clustered_grid_benchmark(16, seed=seed)
+    assert OptimizerConfig(steps=2, step_size=0.01, seed=np.int64(3)).seed == 3
 
 
 def test_integer_settings_take_numpy_integers():
@@ -416,7 +428,45 @@ def test_snapshot_emd_subsamples_unequal_sizes(rng):
     assert np.isfinite(trace.records[-1].emd)
 
 
+@pytest.mark.parametrize("sizes", [(200, 200), (1024, 1024), (150, 300)],
+                         ids=["equal-200", "equal-1024", "unequal"])
+def test_snapshot_emd_is_exact_on_seeded_subsamples(rng, sizes):
+    # one rule at every size: exact EMD on seeded subsamples of min(128, n, m) points
+    init, target = random_cloud(rng, sizes[0]), random_cloud(rng, sizes[1])
+    config = OptimizerConfig(steps=1, step_size=1e-3, seed=17)
+    final, trace = optimize(init, target, ObjectiveSpec("cd-l1"), config)
+    for cloud, rec in zip([init, final], trace.records):
+        draws = [subsample(c, 128, "random", 17) for c in (cloud, target)]
+        assert rec.emd == emd_exact(*draws)
+
+
+@pytest.mark.parametrize("n", [5, 64, 128])
+def test_snapshot_emd_of_small_equal_pairs_is_full_cloud_emd(rng, n):
+    init, target = random_cloud(rng, n), random_cloud(rng, n)
+    config = OptimizerConfig(steps=1, step_size=1e-3, seed=3)
+    final, trace = optimize(init, target, ObjectiveSpec("cd-l1"), config)
+    assert [rec.emd for rec in trace.records] == [emd_exact(init, target), emd_exact(final, target)]
+
+
+def test_snapshot_emd_overflow_names_column_and_step():
+    # the descent is at rest, but the square of the snapshot's pairwise distance 9e307 overflows
+    cloud = PointCloud([[9e307, 0.0], [0.0, 0.0]])
+    config = OptimizerConfig(steps=2, step_size=0.05)
+    with pytest.raises(NumericalError, match="^emd at step 0: a pairwise distance is not finite$"):
+        optimize(cloud, cloud, ObjectiveSpec("cd-l1"), config)
+
+
 class TestHierarchical:
+    def test_overflowing_fine_cloud_is_divergence(self, recwarn):
+        # theta stays finite, but a coarse point plus its child offset overflows
+        init = PointCloud([[0.0, 0.0], [1.0, 0.0]])
+        target = PointCloud([[-1.0, 0.0], [-2.0, 0.0], [-3.0, 0.0], [-4.0, 0.0]])
+        config = OptimizerConfig(steps=3, step_size=3e307, record_every=100)
+        with pytest.raises(DivergenceError, match="^coordinates became non-finite at step 0$"):
+            optimize_hierarchical(init, HierarchySpec(2, offset_scale=0.0), target,
+                                  ScheduleSpec("static"), config)
+        assert not recwarn.list
+
     def test_perfect_start_stays_put(self, rng):
         target = random_cloud(rng, 12)
         hierarchy = HierarchySpec(children_per_coarse=1, offset_scale=0.0)

@@ -262,6 +262,23 @@ def _runs() -> dict[str, list[str]]:
     ]
     for name, seed, flags in DESCENT_GRID64_SEED7:
         runs[f"descent-grid64-{name}"] = [*BENCH, "--seed", str(seed), *flags, "--out-dir", "run"]
+    # 200 points per side: the trace's emd is exact EMD on seeded 128-point subsamples
+    runs["optimize-equal-200"] = [
+        "optimize", "--init", "g200_p.xyz", "--target", "g200_g.xyz", "--steps", "2",
+        "--record-every", "1", "--out-dir", "run",
+    ]
+    # a seed must be a non-negative integer wherever it is read
+    runs["optimize-benchmark-negative-seed"] = [*BENCH, "--seed", "-1", "--out-dir", "run"]
+    runs["optimize-files-negative-seed"] = [
+        "optimize", "--init", "three_p.xyz", "--target", "three_g.xyz", "--steps", "2",
+        "--seed", "-1", "--out-dir", "run",
+    ]
+    runs["ambiguity-negative-seed"] = ["ambiguity", "--seed", "-1", "--out-dir", "ambiguity"]
+    # the descent rests on coinciding clouds, but the trace's EMD cost overflows
+    runs["optimize-trace-emd-overflow"] = [
+        "optimize", "--init", "far_apart.xyz", "--target", "far_apart.xyz", "--steps", "2",
+        "--out-dir", "run",
+    ]
     return runs
 
 
@@ -368,6 +385,11 @@ def _write_inputs(root: Path) -> None:
     files["huge3.xyz"] = files["huge1.xyz"] + "2 0 0\n"
     files["pairs_huge/far_pred.xyz"] = files["huge3.xyz"]
     files["pairs_huge/far_gt.xyz"] = files["huge2.xyz"]
+    files["g200_p.xyz"] = _cloud(rng, 200)
+    files["g200_g.xyz"] = _cloud(rng, 200)
+    files["three_p.xyz"] = "0 0 0\n1 0 0\n0 1 0\n"
+    files["three_g.xyz"] = "0.5 0 0\n1 1 0\n0 2 0\n"
+    files["far_apart.xyz"] = "9e307 0\n0 0\n"
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
