@@ -8,12 +8,14 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .cloud import Matching, PointCloud, _check_seed
+from .cloud import Matching, PointCloud, _check_int, _check_seed
 from .errors import ConstructionError, InvalidInputError, MidpointAmbiguityError
 from .metrics import chamfer_l1, dcd
 from .objective import FcdWeights, fcd, fcd_gradient
 
 _CD_WEIGHTS = FcdWeights(1.0, 1.0)
+# default_sweep_config's cap on abscissae: under six minutes of sweep and a 100 MB CSV
+_MAX_ABSCISSAE = 1_000_000
 _MIDPOINT = "lies on the ambiguous midpoint; exclude it"  # a MidpointAmbiguityError
 
 
@@ -76,13 +78,13 @@ def default_sweep_config(weights: FcdWeights = FcdWeights(1.0, 2.0), x_min: floa
                          x_max: float = 3.4, x_step: float = 0.1) -> SweepConfig:
     """Canonical sweep: targets (0,0) and (4,0), matched point (0.5,0), and the free
     point at x_min + k * x_step up to x_max (with 1e-9 of a step for rounding), less
-    any abscissa within 1e-9 of the midpoint 2.0."""
-    if not np.isfinite((x_min, x_max, x_step)).all() or x_min >= x_max or x_step <= 0:
+    any abscissa within 1e-9 of the midpoint 2.0, at most _MAX_ABSCISSAE of them."""
+    if (not np.isfinite((x_min, x_max, x_step)).all() or x_min >= x_max or x_step <= 0
+            or (count := np.floor((x_max - x_min) / x_step + 1e-9)) >= _MAX_ABSCISSAE):
         raise InvalidInputError(
             f"invalid sweep range: x_min={x_min}, x_max={x_max}, x_step={x_step}"
         )
-    count = int(np.floor((x_max - x_min) / x_step + 1e-9))
-    xs = x_min + x_step * np.arange(count + 1)
+    xs = x_min + x_step * np.arange(int(count) + 1)
     return SweepConfig(g1=np.array([0.0, 0.0]), g2=np.array([4.0, 0.0]), p1=np.array([0.5, 0.0]),
                        xs=xs[np.abs(xs - 2.0) > 1e-9], weights=weights)
 
@@ -233,6 +235,7 @@ def build_ambiguity_pair(
     temperature defaults to 2 / grid pitch so the exponential kernel stays
     sensitive at this construction's scale.
     """
+    _check_int("n", n)
     if n < 8 or n % 2 != 0:
         raise InvalidInputError(f"n must be even and >= 8, got {n}")
     rows, cols = _grid_shape(n)

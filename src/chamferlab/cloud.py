@@ -181,15 +181,22 @@ def _check_pair(p: PointCloud, g: PointCloud) -> None:
         raise InvalidInputError(f"dimension mismatch: {p.dim} vs {g.dim}")
 
 
-def _check_int(name: str, value) -> None:
-    """InvalidInputError unless value is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """InvalidInputError unless value is an integer (``_is_int``) of at least ``low``, if given."""
+    if not _is_int(value):
         raise InvalidInputError(f"{name} must be an integer, got {value}")
+    if low is not None and value < low:
+        raise InvalidInputError(f"{name} must be >= {low}, got {value}")
 
 
 def _check_seed(seed) -> None:
-    """InvalidInputError unless seed is a non-negative Python or numpy integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """InvalidInputError unless seed is a non-negative integer (``_is_int``)."""
+    if not _is_int(seed) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
 
 

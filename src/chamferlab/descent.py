@@ -39,16 +39,12 @@ class OptimizerConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        _check_int("steps", self.steps)
-        if self.steps < 1:
-            raise InvalidInputError(f"steps must be >= 1, got {self.steps}")
+        _check_int("steps", self.steps, 1)
         _check_positive("step_size", self.step_size)
         if not 0.0 <= self.momentum_coeff < 1.0:
             raise InvalidInputError(f"momentum_coeff must lie in [0, 1), got {self.momentum_coeff}")
         _check_seed(self.seed)
-        _check_int("record_every", self.record_every)
-        if self.record_every < 1:
-            raise InvalidInputError(f"record_every must be >= 1, got {self.record_every}")
+        _check_int("record_every", self.record_every, 1)
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,7 @@ class HierarchySpec:
     offset_scale: float = 1e-3
 
     def __post_init__(self):
-        _check_int("children_per_coarse", self.children_per_coarse)
-        if self.children_per_coarse < 1:
-            raise InvalidInputError("children_per_coarse must be >= 1")
+        _check_int("children_per_coarse", self.children_per_coarse, 1)
         if not 0 <= self.offset_scale < math.inf:
             raise InvalidInputError(f"offset_scale must be >= 0 and finite, got {self.offset_scale}")
 
@@ -268,13 +262,13 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
         grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
         if not np.isfinite(value):
             raise DivergenceError(f"objective became non-finite at step {step}")
+        if param.frozen.size:  # before the snapshot, so its grad_max is the applied gradient's
+            grad[param.frozen] = 0.0
         if step % config.record_every == 0 or step == config.steps:
             records.append(_snapshot(step, value, weights, grad, m, config.seed))
         if step == config.steps:
             return clouds, OptimizationTrace(records)
 
-        if param.frozen.size:
-            grad[param.frozen] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # the checks below report an overflow
             if config.momentum_coeff:
                 velocity = config.momentum_coeff * velocity + grad
@@ -356,6 +350,7 @@ def clustered_grid_benchmark(n: int = 64, seed: int = 42) -> tuple[PointCloud, P
     origin, reproducing the pathological local clustering that symmetric
     Chamfer descent struggles to escape.
     """
+    _check_int("n", n, 1)  # a negative n has a complex square root
     side = round(n ** 0.5)
     if side * side != n:
         raise InvalidInputError(f"benchmark size must be a perfect square, got {n}")

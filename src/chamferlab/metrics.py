@@ -188,9 +188,7 @@ def emd_approx(
     """
     _check_pair(p, g)
     _check_positive("epsilon", epsilon)
-    _check_int("iterations", iterations)
-    if iterations < 1:
-        raise InvalidInputError(f"iterations must be >= 1, got {iterations}")
+    _check_int("iterations", iterations, 1)
     n, m = len(p), len(g)
     cost = _pair_costs(p.points, g.points)
     mass = (1.0 / n, 1.0 / m)  # the uniform marginals, per point of each side

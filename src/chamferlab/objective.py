@@ -90,6 +90,8 @@ class UncertaintyState:
     @classmethod
     def initial(cls, tau: float = 1.0, theta: float = 2.0) -> "UncertaintyState":
         """State whose effective weights start at (tau, theta)."""
+        _check_positive("tau", tau)
+        _check_positive("theta", theta)
         return cls(s_local=-math.log(tau), s_global=-math.log(theta))
 
     def weights(self) -> FcdWeights:
@@ -177,6 +179,7 @@ def schedule_weights(
     decay from theta toward tau. The uncertainty kind ignores the epoch and
     reads the effective weights from the supplied state.
     """
+    _check_int("epoch", epoch)
     if not 0 <= epoch <= spec.T:
         raise InvalidInputError(f"epoch must be in [0, {spec.T}], got {epoch}")
     if spec.kind == "uncertainty":
@@ -209,7 +212,7 @@ def uncertainty_loss(
     weights being ``state.weights()``. The log terms penalize inflating a variance just
     to silence its loss.
     """
-    if local_loss < 0 or global_loss < 0:
+    if not (local_loss >= 0 and global_loss >= 0):  # NaN fails too
         raise InvalidInputError("losses must be non-negative")
     w = state.weights()
     total = w.alpha * local_loss + w.beta * global_loss + state.s_local + state.s_global

@@ -190,6 +190,13 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="^invalid sweep range: "):
             default_sweep_config(FcdWeights(1.0, 2.0), x_min, x_max, x_step)
 
+    @pytest.mark.parametrize("x_step", [5e-324, 1e-12])
+    def test_rejects_more_than_a_million_abscissae(self, x_step):
+        # 2.8 / 5e-324 overflows to inf; 2.8 / 1e-12 would be 2.8e12 abscissae
+        with pytest.raises(InvalidInputError, match=f"^invalid sweep range: x_min=0.6, x_max=3.4, "
+                                                    f"x_step={x_step}$"):
+            default_sweep_config(FcdWeights(1.0, 2.0), 0.6, 3.4, x_step)
+
     def test_csv_layout(self):
         config = default_sweep_config()
         text = sweep_to_csv(sweep(config), config)
@@ -223,7 +230,7 @@ class TestAmbiguityPair:
         b = build_ambiguity_pair(16, 2)
         assert a[1] != b[1]
 
-    @pytest.mark.parametrize("seed", [-1, 2.5])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(InvalidInputError, match=f"^seed must be a non-negative integer, got {seed}$"):
             build_ambiguity_pair(16, seed)
@@ -237,3 +244,8 @@ class TestAmbiguityPair:
             build_ambiguity_pair(7, 0)
         with pytest.raises(InvalidInputError):
             build_ambiguity_pair(6, 0)
+
+    @pytest.mark.parametrize("n", [8.0, True])
+    def test_rejects_n_that_is_not_an_integer(self, n):
+        with pytest.raises(InvalidInputError, match=f"^n must be an integer, got {n}$"):
+            build_ambiguity_pair(n, 1)

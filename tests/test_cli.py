@@ -75,6 +75,14 @@ class TestMetricsCommand:
         assert main(["metrics", str(a), str(b)]) == 3
         assert "emd" in capsys.readouterr().err
 
+    def test_emd_iterations_below_one_exit_3_naming_metric(self, tmp_path, capsys, rng):
+        a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        write_xyz(a, random_cloud(rng, 2))
+        write_xyz(b, random_cloud(rng, 3))
+        assert main(["metrics", str(a), str(b), "--emd-approx", "--emd-iterations", "0"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: emd: iterations must be >= 1, got 0\n")
+
     def test_emd_skipped_on_unequal_sizes(self, tmp_path, capsys, rng):
         a = tmp_path / "a.xyz"
         b = tmp_path / "b.xyz"
@@ -245,6 +253,13 @@ class TestSweepCommand:
     def test_non_finite_range_exits_3(self, capsys, flags):
         assert main(["sweep", *flags]) == 3
         assert "invalid sweep range: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_step", ["5e-324", "1e-12"])
+    def test_more_than_a_million_abscissae_exit_3(self, capsys, x_step):
+        assert main(["sweep", "--x-step", x_step]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: invalid sweep range: x_min=0.6, x_max=3.4, x_step={x_step}\n"
+        assert captured.out == ""
 
 
 class TestOptimizeCommand:
@@ -465,6 +480,31 @@ class TestOptimizeCommand:
     def test_missing_inputs_exit_3(self, tmp_path, capsys):
         assert main(["optimize", "--out-dir", str(tmp_path / "x")]) == 3
 
+    def test_unknown_benchmark_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["optimize", "--benchmark", "sphere", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: unknown benchmark 'sphere'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, name", [("--steps", "steps"), ("--record-every", "record_every")])
+    def test_counts_below_one_exit_3(self, tmp_path, capsys, flag, name):
+        out = tmp_path / "x"
+        assert main(["optimize", "--benchmark", "clustered-grid", flag, "0", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_non_finite_objective_exits_4(self, tmp_path, capsys):
+        # 1e155 squared overflows: the objective is infinite while every coordinate is finite
+        init, target, out = tmp_path / "h1.xyz", tmp_path / "h2.xyz", tmp_path / "run"
+        init.write_text("0 0\n1e155 0\n")
+        target.write_text("0 0\n1 0\n")
+        argv = ["optimize", "--init", str(init), "--target", str(target), "--steps", "2",
+                "--out-dir", str(out)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.endswith("error: objective became non-finite at step 0\n"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--init", "--target"])
     def test_benchmark_with_an_input_file_exits_3(self, fixture_files, tmp_path, capsys, flag):
         # the benchmark builds both clouds, so a named file would go unread
@@ -608,6 +648,11 @@ class TestBatchCommand:
         assert (captured.out, captured.err) == ("", "error: cd_l1: the value is not finite (inf)\n")
         assert not table.exists()
 
+    def test_missing_dir_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["batch", "--dir", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: not a directory: {missing}\n"
+
     def test_bad_parallelism_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -695,6 +740,13 @@ class TestConfigFile:
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert main(["schedule", "--kind", "static", "--config", str(cfg)]) == 3
+
+    def test_config_that_is_not_an_object_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["schedule", "--kind", "static", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: config file must hold a JSON object\n")
 
     @pytest.mark.parametrize(
         "entries, flags, code",

@@ -45,6 +45,11 @@ class TestPointCloud:
         with pytest.raises(InvalidInputError):
             PointCloud([[1.0, 2.0, 3.0, 4.0]])
 
+    def test_rejects_an_array_of_more_than_two_axes(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^points must be a \(n, dim\) array, got shape \(2, 2, 3\)$"):
+            PointCloud(np.zeros((2, 2, 3)))
+
     def test_points_are_immutable(self):
         cloud = PointCloud([[0.0, 0.0]])
         with pytest.raises(ValueError):
@@ -346,7 +351,7 @@ class TestSubsample:
         for method in ("random", "farthest-point"):
             assert subsample(cloud, 12, method, seed=3) is cloud
 
-    @pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
     def test_random_seed_must_be_a_non_negative_integer(self, rng, seed):
         cloud = random_cloud(rng, 5)
         message = f"^seed must be a non-negative integer, got {seed}$"
@@ -416,6 +421,12 @@ class TestSubsample:
                 subsample(cloud, 2.5, method)
             assert subsample(cloud, np.int64(2), method) == subsample(cloud, 2, method)
 
+    def test_n_must_not_be_a_bool(self, rng):
+        cloud = random_cloud(rng, 5)
+        for method in ("random", "farthest-point"):
+            with pytest.raises(InvalidInputError, match="^n must be an integer, got True$"):
+                subsample(cloud, True, method)
+
     def test_output_points_come_from_input(self, rng):
         cloud = random_cloud(rng, 30)
         out = subsample(cloud, 10, "farthest-point", seed=0)
@@ -445,3 +456,16 @@ class TestTriangleMesh:
     def test_rejects_degenerate_triangle(self):
         with pytest.raises(InvalidInputError):
             TriangleMesh([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
+
+    @pytest.mark.parametrize("vertices, triangles, message", [
+        ([[0.0, 0], [1, 0], [0, 1]], [[0, 1, 2]], r"^vertices must be \(m, 3\), got shape \(3, 2\)$"),
+        ([[0.0, 0, 0], [1, 0, np.nan], [0, 1, 0]], [[0, 1, 2]],
+         "^vertices contain NaN or infinite coordinates$"),
+        ([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1]],
+         r"^triangles must be \(k, 3\), got shape \(1, 2\)$"),
+        ([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], np.empty((0, 3), dtype=int),
+         "^mesh must contain at least one triangle$"),
+    ], ids=["2d-vertices", "nan-vertex", "pair-triangles", "no-triangles"])
+    def test_rejects_malformed_arrays(self, vertices, triangles, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TriangleMesh(vertices, triangles)

@@ -74,6 +74,16 @@ class TestStalemate:
         final, _ = optimize(P_STALE, G_STALE, spec, config, pinned=[0])
         assert np.linalg.norm(final.points[1] - np.array([4.0, 0.0])) < 1e-3
 
+    @pytest.mark.parametrize("objective, grad_max", [
+        (ObjectiveSpec("cd-l1"), 0.0), (ObjectiveSpec("fcd", FcdWeights(1.0, 2.0)), 0.5),
+    ], ids=["cd-l1", "fcd"])
+    def test_grad_max_is_the_applied_gradient(self, objective, grad_max):
+        # the pinned p1 feels a pull that no step applies: under cd-l1 the free point's
+        # gradient, and so the trace's, is exactly 0, which is the stalemate
+        config = OptimizerConfig(steps=4, step_size=5e-4, record_every=2)
+        _, trace = optimize(P_STALE, G_STALE, objective, config, pinned=[0])
+        assert [rec.grad_max for rec in trace.records] == [grad_max] * 3
+
     def test_pinned_point_never_moves(self):
         config = OptimizerConfig(steps=500, step_size=1e-3, record_every=100)
         spec = ObjectiveSpec("fcd", FcdWeights(1.0, 2.0), r=1)
@@ -107,6 +117,10 @@ class TestPinning:
         assert support_pinning(cloud, np.array([3.0, 1.0])).tolist() == [1, 3]
         assert support_pinning(cloud, []).size == 0
 
+    def test_non_numeric_index(self, rng):
+        with pytest.raises(InvalidInputError, match="^pinned must hold whole numbers, got <U1 entries$"):
+            support_pinning(random_cloud(rng, 4), ["a"])
+
 
 @pytest.mark.parametrize(
     "build, message",
@@ -123,7 +137,55 @@ def test_integer_settings_reject_fractions(build, message):
         build()
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OptimizerConfig(steps=True, step_size=0.05), "steps must be an integer, got True"),
+        (lambda: OptimizerConfig(steps=10, step_size=0.05, record_every=True),
+         "record_every must be an integer, got True"),
+        (lambda: HierarchySpec(True), "children_per_coarse must be an integer, got True"),
+    ],
+    ids=["steps", "record_every", "children_per_coarse"],
+)
+def test_integer_settings_reject_bools(build, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OptimizerConfig(steps=0, step_size=0.05), "steps must be >= 1, got 0"),
+        (lambda: OptimizerConfig(steps=10, step_size=0.05, record_every=np.int64(-3)),
+         "record_every must be >= 1, got -3"),
+        (lambda: HierarchySpec(0), "children_per_coarse must be >= 1, got 0"),
+    ],
+    ids=["steps", "record_every", "children_per_coarse"],
+)
+def test_integer_settings_below_one_are_rejected(build, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        build()
+
+
+def test_benchmark_size_is_a_whole_perfect_square():
+    for n in (4.0, True):
+        with pytest.raises(InvalidInputError, match=f"^n must be an integer, got {n}$"):
+            clustered_grid_benchmark(n)
+    with pytest.raises(InvalidInputError, match="^benchmark size must be a perfect square, got 10$"):
+        clustered_grid_benchmark(10)
+    for n in (0, -4):
+        with pytest.raises(InvalidInputError, match=f"^n must be >= 1, got {n}$"):
+            clustered_grid_benchmark(n)
+    init, target = clustered_grid_benchmark(np.int64(4))
+    assert len(init) == len(target) == 4
+
+
+def test_unknown_objective_kind_is_rejected():
+    with pytest.raises(InvalidInputError, match="^unknown objective kind 'hypercd'$"):
+        ObjectiveSpec("hypercd")
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None, True])
 def test_seed_must_be_a_non_negative_integer(seed):
     message = f"^seed must be a non-negative integer, got {seed}$"
     with pytest.raises(InvalidInputError, match=message):

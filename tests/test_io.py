@@ -176,6 +176,34 @@ def test_read_ply_rejects_rows_after_the_last_element(tmp_path, capsys):
     assert (out.out, out.err) == ("", f"error: {expected}\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (PLY_MESH.replace("3 0 1 3\n", ""), "PLY body ends inside element 'face'"),
+        ("ply\nformat ascii 1.0\nelement face 0\nproperty list uchar int vertex_indices\n"
+         "end_header\n", "PLY file has no vertex element"),
+        (PLY_MESH.replace("property float z", "property float w"),
+         "vertex element lacks x/y/z properties"),
+        (PLY_CLOUD, "PLY file has no faces"),
+        # the one face left lies on the x axis
+        (PLY_MESH.replace("element face 3", "element face 1").replace("3 0 1 2\n3 1 3 2\n", ""),
+         "all faces are degenerate"),
+    ],
+    ids=["body-ends-inside-element", "no-vertex-element", "no-xyz", "no-faces", "all-degenerate"],
+)
+def test_read_ply_mesh_errors_name_the_file(tmp_path, capsys, text, message):
+    path = tmp_path / "m.ply"
+    path.write_text(text)
+    expected = f"{path}: {message}"
+    with pytest.raises(InvalidInputError) as err:
+        read_ply_mesh(path)
+    assert str(err.value) == expected
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text("0 0 0\n")
+    assert main(["metrics", str(cloud), str(cloud), "--mesh", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_read_ply_accepts_trailing_blank_lines(tmp_path):
     path = tmp_path / "blank.ply"
     path.write_text(PLY_MESH + "\n  \n\n")

@@ -367,6 +367,15 @@ class TestEmdApprox:
             emd_approx(p, g, iterations=2.5)
         assert emd_approx(p, g, iterations=np.int64(3)) == emd_approx(p, g, iterations=3)
 
+    @pytest.mark.parametrize("iterations, message", [
+        (0, "iterations must be >= 1, got 0"), (np.int64(-2), "iterations must be >= 1, got -2"),
+        (True, "iterations must be an integer, got True"),
+    ], ids=["zero", "negative", "bool"])
+    def test_rejects_an_iteration_count_below_one_or_a_bool(self, rng, iterations, message):
+        p, g = random_cloud(rng, 3), random_cloud(rng, 4)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            emd_approx(p, g, iterations=iterations)
+
     def test_overflowing_costs_are_a_numerical_error(self):
         # the exact solver's rule: the cost builder both solvers share rejects them
         far = PointCloud([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [2.0, 0.0, 0.0]])

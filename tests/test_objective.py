@@ -264,6 +264,19 @@ class TestSchedules:
         ScheduleSpec("linear", t=100.5)  # t is unused by linear
         assert ScheduleSpec("stair", t=np.int64(2), T=np.int64(4)).T == 4
 
+    def test_epoch_counts_reject_bools(self):
+        with pytest.raises(InvalidInputError, match="^T must be an integer, got True$"):
+            ScheduleSpec("linear", T=True)
+        with pytest.raises(InvalidInputError, match="^t must be an integer, got True$"):
+            ScheduleSpec("stair", t=True)
+
+    def test_epoch_must_be_an_integer(self):
+        for epoch in (2.5, True):
+            with pytest.raises(InvalidInputError, match=f"^epoch must be an integer, got {epoch}$"):
+                schedule_weights(ScheduleSpec("linear"), epoch)
+        assert schedule_weights(ScheduleSpec("linear"), np.int64(2)) == schedule_weights(
+            ScheduleSpec("linear"), 2)
+
 
 class TestUncertaintyLoss:
     def test_zero_state_unit_weights(self):
@@ -311,6 +324,20 @@ class TestUncertaintyLoss:
     def test_rejects_negative_losses(self):
         with pytest.raises(InvalidInputError):
             uncertainty_loss(-1.0, 0.0, UncertaintyState(0.0, 0.0))
+
+    def test_rejects_nan_losses(self):
+        for losses in [(math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(InvalidInputError, match="^losses must be non-negative$"):
+                uncertainty_loss(*losses, UncertaintyState(0.0, 0.0))
+
+    @pytest.mark.parametrize("name, bounds", [
+        ("tau", (0.0, 1.0)), ("tau", (-1.0, 1.0)), ("theta", (1.0, 0.0)), ("theta", (1.0, math.inf)),
+        ("theta", (1.0, math.nan)),
+    ], ids=["tau-0", "tau-negative", "theta-0", "theta-inf", "theta-nan"])
+    def test_initial_bounds_must_be_positive_and_finite(self, name, bounds):
+        value = bounds[0] if name == "tau" else bounds[1]
+        with pytest.raises(InvalidInputError, match=f"^{name} must be positive and finite, got {value}$"):
+            UncertaintyState.initial(*bounds)
 
 
 class TestMultiStageLoss:

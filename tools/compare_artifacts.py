@@ -13,8 +13,10 @@ leaves behind, and exits 1 if there is one, 0 otherwise. The path of each
 tree reads as ``SRC`` in stdout and stderr, where a numpy warning names its
 source file, and the line number after such a file as ``LINE``: a line added
 above the warning's source line moves it but changes no behaviour. The file,
-the warning and the echoed source line are still compared. Standard library
-only: it must not depend on the code it compares.
+the warning and the echoed source line are still compared. Each random input
+cloud is drawn from a seed of its own file name, so an input added anywhere
+moves no other input's draws. Standard library only: it must not depend on the
+code it compares.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ DESCENT_GRID64_SEED7 = (
 )
 # a warning's location in a tree, after its path reads as SRC
 WARNING_LOCATION = re.compile(rb"(SRC/[^\s:]+\.py):\d+:")
+# the random 3D input clouds: file name -> point count
+RANDOM_CLOUDS = {
+    "pred.xyz": 40, "gt.xyz": 40, "a.xyz": 30, "b.xyz": 45,
+    **{f"pairs/case{k}_{side}.xyz": 12 for k in range(3) for side in ("pred", "gt")},
+    "c.xyz": 80, "d.xyz": 80, "e.xyz": 600, "f.xyz": 600, "big_p.xyz": 1025, "big_g.xyz": 1025,
+    "pairs_suffix/x_predicted_pred.xyz": 12, "pairs_suffix/x_predicted_gt.xyz": 12,
+    "g200_p.xyz": 200, "g200_g.xyz": 200,
+}
 
 
 def _runs() -> dict[str, list[str]]:
@@ -164,6 +174,10 @@ def _runs() -> dict[str, list[str]]:
     runs["sweep-x-at-far-target"] = ["sweep", "--x-min", "3.0", "--x-max", "4.5", "--x-step", "0.5"]
     # finite weights whose gradient overflows: a numerical failure, exit 4
     runs["sweep-gradient-overflow"] = ["sweep", "--alpha", "1.7e308"]
+    # a step too small for the range: more than a million abscissae (2.8e12), or an
+    # abscissa count that overflows to inf
+    runs["sweep-x-step-1e-12"] = ["sweep", "--x-step", "1e-12"]
+    runs["sweep-x-step-5e-324"] = ["sweep", "--x-step", "5e-324"]
     # only the exponential schedule reads sigma
     runs["schedule-linear-unused-sigma"] = [
         "schedule", "--kind", "linear", "--sigma", "-1", "--T", "2",
@@ -279,10 +293,20 @@ def _runs() -> dict[str, list[str]]:
         "optimize", "--init", "far_apart.xyz", "--target", "far_apart.xyz", "--steps", "2",
         "--out-dir", "run",
     ]
+    # the two-point stalemate with p1 pinned: the trace's grad_max is the gradient the step
+    # applies, which is the free point's alone (0 under cd-l1, 0.5 under fcd (1, 2))
+    for objective in ("cd-l1", "fcd"):
+        runs[f"optimize-stalemate-pinned-{objective}"] = [
+            "optimize", "--init", "stale_p.xyz", "--target", "stale_g.xyz", "--objective",
+            objective, "--pin", "0", "--steps", "40", "--step-size", "0.01", "--record-every", "10",
+            "--out-dir", "run",
+        ]
     return runs
 
 
-def _cloud(rng: random.Random, n: int) -> str:
+def _cloud(name: str, n: int) -> str:
+    """n random 3D points, drawn from a seed of the file name alone."""
+    rng = random.Random(f"20240901:{name}")
     return "".join(" ".join(repr(rng.random()) for _ in range(3)) + "\n" for _ in range(n))
 
 
@@ -325,14 +349,9 @@ def _height_lattice(side: int, shift: int) -> str:
 
 def _write_inputs(root: Path) -> None:
     """The same input files, byte for byte, in every run directory."""
-    rng = random.Random(20240901)
-    gt = _cloud(rng, 40)
-    files = {
-        "pred.xyz": _cloud(rng, 40),
-        "gt.xyz": gt,
-        "partial.xyz": "".join(gt.splitlines(keepends=True)[:10]),
-        "a.xyz": _cloud(rng, 30),
-        "b.xyz": _cloud(rng, 45),
+    files = {name: _cloud(name, n) for name, n in RANDOM_CLOUDS.items()}
+    files |= {
+        "partial.xyz": "".join(files["gt.xyz"].splitlines(keepends=True)[:10]),
         "mesh.ply": _ply(["0 0 0", "1 0 0", "1 1 0", "0 1 1"], ["3 0 1 2", "3 0 2 3"]),
         "schedule.json": json.dumps({"theta": 3.0, "T": 10, "t": 5}),
         "lattice3_p.xyz": _lattice(5, 3, 0),
@@ -359,23 +378,12 @@ def _write_inputs(root: Path) -> None:
         "oor.ply": _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 5"]),
         "empty.ply": _ply([], []),
     }
-    for k in range(3):
-        files[f"pairs/case{k}_pred.xyz"] = _cloud(rng, 12)
-        files[f"pairs/case{k}_gt.xyz"] = _cloud(rng, 12)
-    files["c.xyz"] = _cloud(rng, 80)
-    files["d.xyz"] = _cloud(rng, 80)
-    files["e.xyz"] = _cloud(rng, 600)
-    files["f.xyz"] = _cloud(rng, 600)
-    files["big_p.xyz"] = _cloud(rng, 1025)
-    files["big_g.xyz"] = _cloud(rng, 1025)
     files["lattice2_g.xyz"] = _lattice(9, 2, 1)
     face = "element face 1\nproperty list uchar int vertex_indices\n"
     files["dup_face.ply"] = _ply(["0 0 0", "1 0 0", "0 1 0"], ["3 0 1 2"]).replace(
         "end_header\n", face + "end_header\n") + "3 2 1 0\n"
     files["config_a.json"] = json.dumps({"theta": 3.0})
     files["config_b.json"] = json.dumps({"tau": 0.5})
-    files["pairs_suffix/x_predicted_pred.xyz"] = _cloud(rng, 12)
-    files["pairs_suffix/x_predicted_gt.xyz"] = _cloud(rng, 12)
     files["far_p.xyz"] = "0 0\n1 0\n"
     files["far_g.xyz"] = "100 0\n101 0\n"
     files["q.xyz"] = "0.9 0.9 0\n0.1 0.1 0\n"
@@ -385,11 +393,11 @@ def _write_inputs(root: Path) -> None:
     files["huge3.xyz"] = files["huge1.xyz"] + "2 0 0\n"
     files["pairs_huge/far_pred.xyz"] = files["huge3.xyz"]
     files["pairs_huge/far_gt.xyz"] = files["huge2.xyz"]
-    files["g200_p.xyz"] = _cloud(rng, 200)
-    files["g200_g.xyz"] = _cloud(rng, 200)
     files["three_p.xyz"] = "0 0 0\n1 0 0\n0 1 0\n"
     files["three_g.xyz"] = "0.5 0 0\n1 1 0\n0 2 0\n"
     files["far_apart.xyz"] = "9e307 0\n0 0\n"
+    files["stale_p.xyz"] = "0.5 0\n1 0\n"
+    files["stale_g.xyz"] = "0 0\n4 0\n"
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
