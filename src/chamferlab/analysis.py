@@ -79,8 +79,9 @@ def default_sweep_config(weights: FcdWeights = FcdWeights(1.0, 2.0), x_min: floa
     """Canonical sweep: targets (0,0) and (4,0), matched point (0.5,0), and the free
     point at x_min + k * x_step up to x_max (with 1e-9 of a step for rounding), less
     any abscissa within 1e-9 of the midpoint 2.0, at most _MAX_ABSCISSAE of them."""
+    # the step count in Python floats, which overflow to inf where numpy would warn
     if (not np.isfinite((x_min, x_max, x_step)).all() or x_min >= x_max or x_step <= 0
-            or (count := np.floor((x_max - x_min) / x_step + 1e-9)) >= _MAX_ABSCISSAE):
+            or (count := (float(x_max) - float(x_min)) / float(x_step) + 1e-9) >= _MAX_ABSCISSAE):
         raise InvalidInputError(
             f"invalid sweep range: x_min={x_min}, x_max={x_max}, x_step={x_step}"
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import build_ambiguity_pair, default_sweep_config, sweep, sweep_to_csv
-from .cloud import PointCloud
+from .cloud import PointCloud, _check_int
 from .descent import (
     OBJECTIVE_KINDS,
     ObjectiveSpec,
@@ -166,8 +166,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    if args.parallelism < 1:
-        raise InvalidInputError(f"--parallelism must be >= 1, got {args.parallelism}")
+    _check_int("--parallelism", args.parallelism, 1)
     if not args.pred_suffix:
         raise InvalidInputError("--pred-suffix must not be empty")
     if args.gt_suffix == args.pred_suffix:  # each file would pair with itself

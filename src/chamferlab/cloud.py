@@ -72,11 +72,12 @@ def _row_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     of the scan, the kd-tree's recheck and the EMD costs. Adding the squares per
     coordinate, (x*x + y*y) + z*z, is bit-identical to ``(diff * diff).sum(axis=-1)``
     and avoids numpy's slow reduction over an axis of length 2 or 3."""
-    d = queries[..., 0] - points[..., 0]
-    sq = d * d
-    for axis in range(1, queries.shape[-1]):
-        d = queries[..., axis] - points[..., axis]
-        sq += d * d
+    with np.errstate(over="ignore"):  # a square past the float range is inf; callers report it
+        d = queries[..., 0] - points[..., 0]
+        sq = d * d
+        for axis in range(1, queries.shape[-1]):
+            d = queries[..., axis] - points[..., axis]
+            sq += d * d
     return sq
 
 
@@ -135,12 +136,15 @@ def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
     lowest index among the exact minima of _row_sq_dists. Elsewhere
     the first candidate is the unique nearest point and only its distance is
     recomputed. A 1-point tree pads the second candidate with an infinite
-    distance, so none of its rows ties.
+    distance, so none of its rows ties. A row whose every squared distance
+    overflows gets no candidate from the tree: like the scan, it takes index 0
+    at inf, and no ball query (which refuses an infinite radius).
     """
     dist, cand = tree.query(queries, k=2)
-    indices = cand[:, 0].copy()
+    finite = dist[:, 0] < np.inf
+    indices = np.where(finite, cand[:, 0], 0)
     best = _row_sq_dists(queries, sources[indices])
-    rows = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_RTOL))
+    rows = np.flatnonzero(finite & (dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_RTOL)))
     if rows.size:
         reach = np.nextafter(dist[rows, 1] * (1.0 + _TIE_RTOL), np.inf)
         found = tree.query_ball_point(queries[rows], reach)
@@ -327,5 +331,5 @@ def _positive_area(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     a = verts[tris[:, 0]]
     e0 = verts[tris[:, 1]] - a
     e1 = verts[tris[:, 2]] - a
-    cross = np.cross(e0, e1)
-    return np.linalg.norm(cross, axis=1) > 0.0
+    with np.errstate(over="ignore"):  # an area past the float range is still positive
+        return np.linalg.norm(np.cross(e0, e1), axis=1) > 0.0

@@ -8,7 +8,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cloud import Matching, PointCloud, _check_int, _check_pair, _check_seed, _whole_numbers, subsample
+from .cloud import Matching, PointCloud, _check_int, _check_pair, _check_seed, _row_sq_dists
+from .cloud import _whole_numbers, subsample
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .metrics import chamfer_l1, dcd, emd_exact
 from .metrics import _CD_L1, _CD_L2, _DCD, _check_positive, _check_r
@@ -217,11 +218,6 @@ class _Skeleton:
         return np.concatenate([grad_coarse + children, grad_fine])
 
 
-def _radius_sq(points: np.ndarray, center: np.ndarray) -> float:
-    diff = points - center
-    return float(np.einsum("ij,ij->i", diff, diff).max())
-
-
 def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Loss]],
              config: OptimizerConfig) -> tuple[list[PointCloud], OptimizationTrace]:
     """The descent loop: evaluates config.steps + 1 parameter states, steps between them.
@@ -239,11 +235,11 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
     target, loss = stages[-1]
     center = target.points.mean(axis=0)
     stage_points = param.clouds(theta)
-    radius_sq = max(_radius_sq(x, center) for x in [*stage_points, target.points])
+    radius_sq = max(_row_sq_dists(x, center).max() for x in [*stage_points, target.points])
     reach_sq = DIVERGENCE_FACTOR**2 * radius_sq  # radius of init and target about the centroid
     for step in range(config.steps + 1):
         clouds = [PointCloud(points) for points in stage_points]
-        if max(_radius_sq(c.points, center) for c in clouds) > reach_sq:
+        if max(_row_sq_dists(c.points, center).max() for c in clouds) > reach_sq:
             # hypot does not square, so a finite offset past 1e154 reports a finite distance
             spread = max(float(np.hypot.reduce(c.points - center, axis=1).max()) for c in clouds)
             raise DivergenceError(

@@ -34,6 +34,7 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _check_r(r: int) -> None:
+    _check_int("r", r)
     if r not in (1, 2):
         raise InvalidInputError(f"distance order r must be 1 or 2, got {r}")
 
@@ -307,13 +308,17 @@ def point_to_mesh(p: PointCloud, mesh: TriangleMesh) -> float:
     corners = mesh.vertices[mesh.triangles]  # (triangles, corner, xyz)
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     centroids = corners.mean(axis=1)
-    radii = np.sqrt(((corners - centroids[:, None]) ** 2).sum(axis=2)).max(axis=1)
+    radii = np.sqrt(_row_sq_dists(corners, centroids[:, None]).max(axis=1))
     # the pruning test and the distances round by a few ulps of the largest
     # coordinate; this slack only ever keeps extra triangles
     slack = P2M_SLACK * max(np.abs(points).max(), np.abs(mesh.vertices).max())
     tree = cKDTree(centroids)
 
     _, first = tree.query(points)
+    # past about 1e154 apart a squared distance overflows: the tree then finds no
+    # centroid, or a radius is inf, and the per-triangle arithmetic would give NaN
+    if first.max() == len(mesh) or not np.isfinite(radii).all():
+        raise NumericalError("a squared distance to the mesh overflows")
     best = _point_triangle_sqdists(points, a[first], b[first], c[first])
     bound = np.sqrt(best) + slack
     # a block of points meets at most PAIR_CHUNK triangles: a ball holds at most all of them

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from chamferlab import (
+    ConstructionError,
     FcdWeights,
     InvalidInputError,
     MidpointAmbiguityError,
@@ -18,6 +22,7 @@ from chamferlab import (
     fcd_gradient,
     sweep,
 )
+from chamferlab import analysis
 from chamferlab.analysis import sweep_to_csv
 
 G1 = np.array([0.0, 0.0])
@@ -197,6 +202,27 @@ class TestSweep:
                                                     f"x_step={x_step}$"):
             default_sweep_config(FcdWeights(1.0, 2.0), 0.6, 3.4, x_step)
 
+    def test_numpy_scalar_range_prints_no_warning(self):
+        # numpy would divide 2.8 by 5e-324 with an overflow warning; Python floats do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^invalid sweep range: "):
+                default_sweep_config(x_max=np.float64(3.4), x_step=5e-324)
+            config = default_sweep_config(x_min=np.float64(0.6), x_max=np.float64(3.4))
+        assert config.xs.tolist() == default_sweep_config().xs.tolist()
+
+    def test_gradient_cross_check_names_x_and_key(self, monkeypatch):
+        original = analysis.closed_form_gradients
+
+        def off_by_1e9(*args):
+            closed = original(*args)
+            return dataclasses.replace(closed, fcd_l2=closed.fcd_l2 + 1e-9)
+
+        monkeypatch.setattr(analysis, "closed_form_gradients", off_by_1e9)
+        message = r"^gradient cross-check failed at x=0.6 for fcd_l2: \|delta\|=1.000e-09$"
+        with pytest.raises(ConstructionError, match=message):
+            sweep(default_sweep_config())
+
     def test_csv_layout(self):
         config = default_sweep_config()
         text = sweep_to_csv(sweep(config), config)
@@ -249,3 +275,27 @@ class TestAmbiguityPair:
     def test_rejects_n_that_is_not_an_integer(self, n):
         with pytest.raises(InvalidInputError, match=f"^n must be an integer, got {n}$"):
             build_ambiguity_pair(n, 1)
+
+    def test_unbracketed_chamfer_values_are_a_construction_error(self, monkeypatch):
+        # the uniform prediction (the one call given a matching) scores 1, every clustered one 2
+        monkeypatch.setattr(analysis, "chamfer_l1",
+                            lambda p, g, matching=None: 1.0 if matching is not None else 2.0)
+        with pytest.raises(ConstructionError, match="^cannot match Chamfer values: clustered "
+                                                    "construction does not bracket the target$"):
+            build_ambiguity_pair(16, 1)
+
+    def test_bisection_stops_after_200_iterations(self, monkeypatch):
+        # the clustered values alternate 0 and 2 about the uniform 1: never within 0.5%
+        clustered_calls = []
+
+        def chamfer(p, g, matching=None):
+            if matching is not None:
+                return 1.0
+            clustered_calls.append(p)
+            return 0.0 if len(clustered_calls) % 2 else 2.0
+
+        monkeypatch.setattr(analysis, "chamfer_l1", chamfer)
+        with pytest.raises(ConstructionError, match="^Chamfer matching bisection did not "
+                                                    "converge in 200 iterations$"):
+            build_ambiguity_pair(16, 1)
+        assert len(clustered_calls) == 2 + 200

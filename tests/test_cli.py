@@ -139,6 +139,36 @@ class TestMetricsCommand:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not csv.exists() and not out.exists()
 
+    @pytest.mark.parametrize("n", [64, 70], ids=["block", "tree"])
+    def test_overflow_prints_one_error_line_on_both_nn_paths(self, tmp_path, rng, n):
+        # each squared distance of the far row overflows; a fresh interpreter's stderr
+        # would also show any numpy warning
+        points = rng.random((n, 3))
+        points[0] = [1e200, 0.0, 0.0]
+        pred, gt = tmp_path / "pred.xyz", tmp_path / "gt.xyz"
+        write_xyz(pred, PointCloud(points))
+        write_xyz(gt, random_cloud(rng, n))
+        proc = _fresh_python("-m", "chamferlab.cli", "metrics", str(pred), str(gt))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "error: cd_l1: the value is not finite (inf)\n")
+
+    @pytest.mark.parametrize("vertices", [
+        "1e200 0 0\n1e200 1 0\n1e200 0 1\n",  # no centroid within a finite distance
+        "-1e200 -1e200 0\n1e200 -1e200 0\n0 2e200 0\n",  # a radius that overflows
+    ], ids=["far", "wide"])
+    def test_overflowing_mesh_distances_exit_4(self, tmp_path, vertices):
+        cloud, mesh = tmp_path / "a.xyz", tmp_path / "mesh.ply"
+        cloud.write_text("0 0 0\n1 0 0\n0 1 0\n")
+        mesh.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+            "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+            f"end_header\n{vertices}3 0 1 2\n"
+        )
+        proc = _fresh_python("-m", "chamferlab.cli", "metrics", str(cloud), str(cloud),
+                             "--mesh", str(mesh))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "error: p2f: a squared distance to the mesh overflows\n")
+
     def test_out_dir_writes_report_and_manifest(self, fixture_files, tmp_path, capsys):
         pred, gt = fixture_files
         out = tmp_path / "out"
@@ -505,6 +535,21 @@ class TestOptimizeCommand:
         assert err.endswith("error: objective became non-finite at step 0\n"), err
         assert not out.exists()
 
+    def test_a_point_past_every_target_on_the_tree_path_exits_4(self, tmp_path, capsys, rng,
+                                                                 recwarn):
+        # 70 points per side search the kd-tree, where the far row's squared distances all
+        # overflow: it matches index 0 at inf, as a scan does
+        points = rng.random((70, 2))
+        points[0] = [1e200, 0.0]
+        init, target, out = tmp_path / "init.xyz", tmp_path / "target.xyz", tmp_path / "run"
+        write_xyz(init, PointCloud(points))
+        write_xyz(target, random_cloud(rng, 70, dim=2))
+        argv = ["optimize", "--init", str(init), "--target", str(target), "--out-dir", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "error: objective became non-finite at step 0\n"
+        assert not out.exists()
+        assert not recwarn.list
+
     @pytest.mark.parametrize("flag", ["--init", "--target"])
     def test_benchmark_with_an_input_file_exits_3(self, fixture_files, tmp_path, capsys, flag):
         # the benchmark builds both clouds, so a named file would go unread
@@ -657,6 +702,7 @@ class TestBatchCommand:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["batch", "--dir", str(empty), "--parallelism", "0"]) == 3
+        assert capsys.readouterr().err == "error: --parallelism must be >= 1, got 0\n"
 
 
 class TestAmbiguityCommand:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -214,6 +216,26 @@ class TestNearest:
             assert tree.ball_rows == ball_rows
             for k, q in enumerate(queries):
                 assert (idx[k], dist[k]) == brute_force_nearest(pts, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 70])
+    def test_a_query_whose_every_distance_overflows_takes_index_0(self, rng, n, recwarn):
+        # past about 1e154 from every source point each squared distance overflows: all
+        # tie at inf, so the scan's lowest index wins, while the tree finds no neighbour
+        pts = np.concatenate([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], rng.random((68, 3))])[:n]
+        queries = np.array([[1e200, 0.0, 0.0], [0.5, 0.0, 0.0], [0.3, 0.2, 0.1],
+                            [0.0, -1e200, 1.0]])  # the second ties for n >= 2
+        idx, dist = build_index(PointCloud(pts)).query_many(queries)
+        assert not recwarn.list
+        with np.errstate(over="ignore"):
+            assert [(i, d) for i, d in zip(idx, dist)] == [
+                brute_force_nearest(pts, q) for q in queries]
+        assert (idx[[0, 3]] == 0).all() and (dist[[0, 3]] == np.inf).all()
+
+    def test_row_sq_dists_overflows_to_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sq = _row_sq_dists(np.array([[1e200, 0.0], [1.0, -1e200], [1.0, 1.0]]), np.zeros(2))
+        assert sq.tolist() == [np.inf, np.inf, 2.0]
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])

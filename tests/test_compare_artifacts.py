@@ -53,34 +53,18 @@ def _copy(tmp_path: Path) -> Path:
     return copy
 
 
-def test_a_warning_that_names_its_tree_is_no_difference(tmp_path):
-    # numpy's overflow warning on stderr names the source file of the tree that ran
-    proc = _compare(SRC, _copy(tmp_path), "metrics-huge-coordinates-equal")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1 run(s) compared, 0 differences"
-
-
-def test_a_warning_whose_line_moved_is_no_difference(tmp_path):
-    # a blank line at the top of cloud.py moves the overflow warning's line number
+def test_a_warning_printed_by_one_tree_only_is_a_difference(tmp_path):
+    # stderr is compared as it is, so the warning, which names its tree's file, is the difference
     copy = _copy(tmp_path)
-    cloud = copy / "chamferlab" / "cloud.py"
-    cloud.write_text("\n" + cloud.read_text())
-    proc = _compare(SRC, copy, "metrics-huge-coordinates-equal")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "1 run(s) compared, 0 differences"
-
-
-def test_a_warning_whose_source_line_changed_is_a_difference(tmp_path):
-    # the warning echoes the line that raised it, which still counts
-    copy = _copy(tmp_path)
-    cloud = copy / "chamferlab" / "cloud.py"
-    text = cloud.read_text()
-    assert text.count("    sq = d * d\n") == 1
-    cloud.write_text(text.replace("    sq = d * d\n", "    sq = (d * d)\n"))
-    proc = _compare(SRC, copy, "metrics-huge-coordinates-equal")
+    cli = copy / "chamferlab" / "cli.py"
+    head = "from __future__ import annotations\n"
+    cli.write_text(cli.read_text().replace(
+        head, head + "\nimport warnings\n\nwarnings.warn('one tree only')\n", 1))
+    proc = _compare(SRC, copy)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = [line.strip() for line in proc.stdout.splitlines()]
     assert [line for line in lines if line.startswith("DIFF ")] == [
-        "DIFF metrics-huge-coordinates-equal: stderr"
+        "DIFF schedule-linear-out: stderr"
     ]
-    assert "+  sq = (d * d)" in [line.strip() for line in lines]
+    assert f"+{cli.resolve()}:7: UserWarning: one tree only" in lines
+    assert lines[-1] == "1 run(s) compared, 1 difference"

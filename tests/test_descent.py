@@ -185,6 +185,12 @@ def test_unknown_objective_kind_is_rejected():
         ObjectiveSpec("hypercd")
 
 
+@pytest.mark.parametrize("r", [True, 2.0])
+def test_distance_order_must_be_an_integer(r):
+    with pytest.raises(InvalidInputError, match=f"^r must be an integer, got {r}$"):
+        ObjectiveSpec("fcd", FcdWeights(1.0, 2.0), r=r)
+
+
 @pytest.mark.parametrize("seed", [-1, 2.5, "7", None, True])
 def test_seed_must_be_a_non_negative_integer(seed):
     message = f"^seed must be a non-negative integer, got {seed}$"
@@ -386,6 +392,18 @@ def test_overflowing_uncertainty_step_is_divergence(recwarn):
     # a state that a caller builds is still checked as input
     with pytest.raises(InvalidInputError, match="must be finite"):
         UncertaintyState(math.inf, 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 70], ids=["block", "tree"])
+def test_a_point_whose_squared_distances_all_overflow_is_divergence(rng, n, recwarn):
+    # the far row matches index 0 at inf on either nearest-neighbour path
+    points = rng.random((n, 2))
+    points[0] = [1e200, 0.0]
+    config = OptimizerConfig(steps=3, step_size=0.05)
+    objective = ObjectiveSpec("fcd", FcdWeights(1.0, 2.0))
+    with pytest.raises(DivergenceError, match="^objective became non-finite at step 0$"):
+        optimize(PointCloud(points), random_cloud(rng, n, dim=2), objective, config)
+    assert not recwarn.list
 
 
 def test_non_finite_gradient_is_divergence():

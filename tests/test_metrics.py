@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,35 @@ class TestChamferFamily:
     def test_bad_r(self, rng):
         with pytest.raises(InvalidInputError):
             cd_local(random_cloud(rng, 3), random_cloud(rng, 3), 3)
+
+    @pytest.mark.parametrize("r, message", [
+        (True, "r must be an integer, got True"),
+        (2.0, "r must be an integer, got 2.0"),
+        (np.int64(3), "distance order r must be 1 or 2, got 3"),
+    ])
+    def test_r_must_be_the_integer_1_or_2(self, r, message):
+        # True == 1 and 2.0 == 2: a membership test alone would take both
+        for metric in (cd_local, cd_global, lambda p, g, r: fcd(p, g, FcdWeights(1, 2), r)):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                metric(P2, G2, r)
+        assert cd_local(P2, G2, np.int64(2)) == cd_local(P2, G2, 2) == 0.625
+
+    @pytest.mark.parametrize("n", [64, 70], ids=["block", "tree"])
+    def test_an_overflowing_squared_distance_reads_inf_on_both_nn_paths(self, rng, n, recwarn):
+        # one row past about 1e154 from every target point: its squared distances all
+        # overflow, so it matches index 0 at inf, as a brute-force scan does
+        points = rng.random((n, 3))
+        points[0] = [1e200, 0.0, 0.0]
+        p, g = PointCloud(points), random_cloud(rng, n)
+        m = Matching(p, g)
+        assert (m.p_to_g[0][0], m.p_to_g[1][0]) == (0, np.inf)
+        assert np.isfinite(m.p_to_g[1][1:]).all() and np.isfinite(m.g_to_p[1]).all()
+        assert chamfer_l1(p, g) == hausdorff(p, g) == np.inf
+        assert dcd(p, g, 1e-3) > dcd(PointCloud(points[1:]), g, 1e-3)  # its term is 1
+        assert fscore(p, g, 10.0) < 1.0  # a miss
+        with pytest.raises(NumericalError, match=r"^cd_l1: the value is not finite \(inf\)$"):
+            report(p, g, 0.01, 1000.0)
+        assert not recwarn.list
 
 
 class TestDcd:
@@ -621,6 +651,22 @@ class TestPointToMesh:
                             np.vstack([small.triangles, [[49, 50, 51]]]))
         point_to_mesh(cloud, mesh)
         assert sum(rows) < len(cloud) * len(mesh) / 3
+
+
+    @pytest.mark.parametrize("vertices", [
+        [[1e200, 0, 0], [1e200, 1, 0], [1e200, 0, 1]],  # no centroid within a finite distance
+        [[-1e200, -1e200, 0], [1e200, -1e200, 0], [0, 2e200, 0]],  # a radius that overflows
+    ], ids=["far", "wide"])
+    def test_overflowing_squared_distances_are_a_numerical_error(self, vertices):
+        cloud = PointCloud([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        message = "a squared distance to the mesh overflows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = TriangleMesh(vertices, [[0, 1, 2]])
+            with pytest.raises(NumericalError, match=f"^{message}$"):
+                point_to_mesh(cloud, mesh)
+            with pytest.raises(NumericalError, match=f"^p2f: {message}$"):
+                report(cloud, cloud, 0.01, 1000.0, mesh=mesh)
 
 
 class TestFidelity:
