@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -122,7 +121,7 @@ def build_index(cloud: PointCloud) -> NNIndex:
 
 def _nearest_in_block(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise nearest neighbors of a (queries x targets) squared-distance block."""
-    idx = np.argmin(sq, axis=1)  # first minimum = lowest index
+    idx = sq.argmin(axis=1)  # first minimum = lowest index
     return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
 
 
@@ -235,23 +234,33 @@ class Matching:
         self.g = g
         small = max(len(p), len(g)) <= _BRUTE_FORCE_MAX
         self._block = _row_sq_dists(p.points[:, None], g.points[None]) if small else None
+        # plain memos: functools.cached_property takes a lock on every first read (3.11)
+        self._p_to_g = self._g_to_p = self._hits_on_g = self._hits_on_p = None
 
-    @cached_property
+    @property
     def p_to_g(self) -> tuple[np.ndarray, np.ndarray]:
-        return nearest_neighbors(self.p.points, self.g, block=self._block)
+        if self._p_to_g is None:
+            self._p_to_g = nearest_neighbors(self.p.points, self.g, block=self._block)
+        return self._p_to_g
 
-    @cached_property
+    @property
     def g_to_p(self) -> tuple[np.ndarray, np.ndarray]:
-        block = None if self._block is None else self._block.T
-        return nearest_neighbors(self.g.points, self.p, block=block)
+        if self._g_to_p is None:
+            block = None if self._block is None else self._block.T
+            self._g_to_p = nearest_neighbors(self.g.points, self.p, block=block)
+        return self._g_to_p
 
-    @cached_property
+    @property
     def hits_on_g(self) -> np.ndarray:
-        return np.bincount(self.p_to_g[0], minlength=len(self.g))
+        if self._hits_on_g is None:
+            self._hits_on_g = np.bincount(self.p_to_g[0], minlength=len(self.g))
+        return self._hits_on_g
 
-    @cached_property
+    @property
     def hits_on_p(self) -> np.ndarray:
-        return np.bincount(self.g_to_p[0], minlength=len(self.p))
+        if self._hits_on_p is None:
+            self._hits_on_p = np.bincount(self.g_to_p[0], minlength=len(self.p))
+        return self._hits_on_p
 
 
 def nearest_hit_counts(queries: PointCloud, index: NNIndex) -> np.ndarray:
@@ -328,8 +337,19 @@ class TriangleMesh:
 
 
 def _positive_area(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    a = verts[tris[:, 0]]
-    e0 = verts[tris[:, 1]] - a
-    e1 = verts[tris[:, 2]] - a
-    with np.errstate(over="ignore"):  # an area past the float range is still positive
-        return np.linalg.norm(np.cross(e0, e1), axis=1) > 0.0
+    """Whether each triangle's edge cross product is nonzero. A triangle whose cross
+    product overflows is judged again on its vertices scaled by the power of two
+    that brings its largest coordinate below 2**510: the scaling is exact short of
+    underflow, and no product of the scaled edges overflows."""
+    corners = verts[tris]
+
+    def normals(corners):
+        return np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an area past the float range is positive
+        normal = normals(corners)
+        huge = ~np.isfinite(normal).all(axis=1)
+        if huge.any():
+            exponent = np.frexp(np.abs(corners[huge]).max(axis=(1, 2)))[1]
+            normal[huge] = normals(np.ldexp(corners[huge], (510 - exponent)[:, None, None]))
+        return np.linalg.norm(normal, axis=1) > 0.0

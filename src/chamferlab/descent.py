@@ -256,7 +256,7 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
             value += stage_value
             grads.append(stage_grad)
         grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DivergenceError(f"objective became non-finite at step {step}")
         if param.frozen.size:  # before the snapshot, so its grad_max is the applied gradient's
             grad[param.frozen] = 0.0

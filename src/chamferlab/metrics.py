@@ -314,10 +314,16 @@ def point_to_mesh(p: PointCloud, mesh: TriangleMesh) -> float:
     slack = P2M_SLACK * max(np.abs(points).max(), np.abs(mesh.vertices).max())
     tree = cKDTree(centroids)
 
+    with np.errstate(over="ignore"):  # the check below reports it
+        e0, e1 = b - a, c - a
+        gram = np.einsum("ij,ij->i", e0, e0) * np.einsum("ij,ij->i", e1, e1)
+
     _, first = tree.query(points)
     # past about 1e154 apart a squared distance overflows: the tree then finds no
-    # centroid, or a radius is inf, and the per-triangle arithmetic would give NaN
-    if first.max() == len(mesh) or not np.isfinite(radii).all():
+    # centroid, or a radius is inf, and the per-triangle arithmetic would give NaN;
+    # past edges of about 1e77 so does the product of two squared edge lengths,
+    # which the interior projection takes
+    if first.max() == len(mesh) or not (np.isfinite(radii).all() and np.isfinite(gram).all()):
         raise NumericalError("a squared distance to the mesh overflows")
     best = _point_triangle_sqdists(points, a[first], b[first], c[first])
     bound = np.sqrt(best) + slack

@@ -155,7 +155,10 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("vertices", [
         "1e200 0 0\n1e200 1 0\n1e200 0 1\n",  # no centroid within a finite distance
         "-1e200 -1e200 0\n1e200 -1e200 0\n0 2e200 0\n",  # a radius that overflows
-    ], ids=["far", "wide"])
+        "-1e80 -1e80 0\n1e80 -1e80 0\n0 2e80 0\n",  # squared edges whose product overflows
+        "0 0 0\n1e200 1e200 0\n1e200 1e200 1\n",  # a cross product that overflows
+        "-1.7e308 0 0\n1.7e308 0 0\n0 1 0\n",  # an edge that overflows
+    ], ids=["far", "wide", "huge", "huge-thin", "huge-edge"])
     def test_overflowing_mesh_distances_exit_4(self, tmp_path, vertices):
         cloud, mesh = tmp_path / "a.xyz", tmp_path / "mesh.ply"
         cloud.write_text("0 0 0\n1 0 0\n0 1 0\n")

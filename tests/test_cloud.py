@@ -306,6 +306,25 @@ class TestMatching:
         assert block_shapes == [(30, 64)]
         assert nn_calls == [30, 64]
 
+    @pytest.mark.parametrize("sizes", [(30, 64), (70, 90)], ids=["block", "tree"])
+    def test_a_second_read_of_every_memo_does_no_work(self, rng, nn_calls, block_shapes, sizes):
+        m = Matching(*(random_cloud(rng, n) for n in sizes))
+        names = ("p_to_g", "g_to_p", "hits_on_g", "hits_on_p")
+        first = [getattr(m, name) for name in names]
+        calls, shapes = list(nn_calls), list(block_shapes)
+        assert calls == list(sizes)
+        for name, value in zip(names, first):
+            assert getattr(m, name) is value, name
+        assert (nn_calls, block_shapes) == (calls, shapes)
+
+    @pytest.mark.parametrize("sizes", [(30, 64), (70, 90)], ids=["block", "tree"])
+    @pytest.mark.parametrize("name, side", [("p_to_g", 0), ("hits_on_g", 0), ("g_to_p", 1),
+                                            ("hits_on_p", 1)])
+    def test_one_direction_alone_makes_one_pass(self, rng, nn_calls, sizes, name, side):
+        m = Matching(*(random_cloud(rng, n) for n in sizes))
+        getattr(m, name), getattr(m, name)
+        assert nn_calls == [sizes[side]]
+
     def test_more_than_64_points_on_one_side_builds_no_block(self, rng, block_shapes):
         p, g = random_cloud(rng, 10), random_cloud(rng, 65)
         m = Matching(p, g)

@@ -115,6 +115,33 @@ def test_read_ply_mesh_drops_degenerate_faces(tmp_path):
     assert mesh.vertices.shape == (4, 3)
 
 
+def _triangle_ply(vertices: str) -> str:
+    return (
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+        f"end_header\n{vertices}3 0 1 2\n"
+    )
+
+
+@pytest.mark.parametrize("vertices", [
+    "0 0 0\n1e200 1e200 0\n1e200 1e200 1\n",  # the edges' cross product overflows
+    "-1.7e308 0 0\n1.7e308 0 0\n0 1 0\n",  # so does an edge
+], ids=["cross", "edge"])
+def test_read_ply_mesh_keeps_a_huge_triangle_of_positive_area(tmp_path, recwarn, vertices):
+    path = tmp_path / "huge.ply"
+    path.write_text(_triangle_ply(vertices))
+    assert len(read_ply_mesh(path)) == 1
+    assert not recwarn.list
+
+
+def test_read_ply_mesh_drops_a_huge_collinear_triangle(tmp_path, recwarn):
+    path = tmp_path / "line.ply"
+    path.write_text(_triangle_ply("0 0 0\n1e200 1e200 0\n2e200 2e200 0\n"))
+    with pytest.raises(InvalidInputError, match="all faces are degenerate$"):
+        read_ply_mesh(path)
+    assert not recwarn.list
+
+
 def test_read_ply_mesh_rejects_polygons(tmp_path):
     text = PLY_MESH.replace("element face 3", "element face 1").split("end_header\n")[0]
     text += "end_header\n0 0 0\n1 0 0\n0 1 0\n2 0 0\n4 0 1 2 3\n"

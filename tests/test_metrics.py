@@ -656,7 +656,13 @@ class TestPointToMesh:
     @pytest.mark.parametrize("vertices", [
         [[1e200, 0, 0], [1e200, 1, 0], [1e200, 0, 1]],  # no centroid within a finite distance
         [[-1e200, -1e200, 0], [1e200, -1e200, 0], [0, 2e200, 0]],  # a radius that overflows
-    ], ids=["far", "wide"])
+        # squared edge lengths whose product overflows
+        [[-1e80, -1e80, 0], [1e80, -1e80, 0], [0, 2e80, 0]],
+        # positive area, though the edges' cross product overflows
+        [[0, 0, 0], [1e200, 1e200, 0], [1e200, 1e200, 1]],
+        # an edge that overflows
+        [[-1.7e308, 0, 0], [1.7e308, 0, 0], [0, 1, 0]],
+    ], ids=["far", "wide", "huge", "huge-thin", "huge-edge"])
     def test_overflowing_squared_distances_are_a_numerical_error(self, vertices):
         cloud = PointCloud([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
         message = "a squared distance to the mesh overflows"

@@ -144,6 +144,12 @@ def _runs() -> dict[str, list[str]]:
         # and one whose radius does
         "metrics-mesh-far": ["metrics", "three_p.xyz", "three_p.xyz", "--mesh", "far_mesh.ply"],
         "metrics-mesh-wide": ["metrics", "three_p.xyz", "three_p.xyz", "--mesh", "wide_mesh.ply"],
+        # squared edge lengths of about 1e161, whose product the interior projection takes
+        "metrics-mesh-huge": ["metrics", "tilted_p.xyz", "tilted_p.xyz", "--mesh", "huge_mesh.ply"],
+        # a thin triangle of positive area whose edges' cross product overflows
+        "metrics-mesh-huge-thin": [
+            "metrics", "tilted_p.xyz", "tilted_p.xyz", "--mesh", "thin_mesh.ply",
+        ],
     }
     for kind in SCHEDULE_KINDS:
         runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
@@ -409,6 +415,9 @@ def _write_inputs(root: Path) -> None:
     files["huge_tree2_g.xyz"] = _cloud("huge_tree2_g.xyz", 70, 2)
     files["far_mesh.ply"] = _ply(["1e200 0 0", "1e200 1 0", "1e200 0 1"], ["3 0 1 2"])
     files["wide_mesh.ply"] = _ply(["-1e200 -1e200 0", "1e200 -1e200 0", "0 2e200 0"], ["3 0 1 2"])
+    files["tilted_p.xyz"] = "0 0 1\n1 0 0\n0 1 0\n"
+    files["huge_mesh.ply"] = _ply(["-1e80 -1e80 0", "1e80 -1e80 0", "0 2e80 0"], ["3 0 1 2"])
+    files["thin_mesh.ply"] = _ply(["0 0 0", "1e200 1e200 0", "1e200 1e200 1"], ["3 0 1 2"])
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
