@@ -51,6 +51,16 @@ class PointCloud:
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
+    @classmethod
+    def _trusted(cls, points: np.ndarray) -> PointCloud:
+        """A cloud over a read-only view of ``points``, with no copy and no check: only
+        for finite float64 (n, 2 or 3) rows that the caller has checked itself."""
+        cloud = object.__new__(cls)
+        view = points.view()
+        view.setflags(write=False)
+        object.__setattr__(cloud, "points", view)
+        return cloud
+
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -73,21 +83,11 @@ def _row_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     and avoids numpy's slow reduction over an axis of length 2 or 3."""
     with np.errstate(over="ignore"):  # a square past the float range is inf; callers report it
         d = queries[..., 0] - points[..., 0]
-        sq = d * d
+        sq = np.multiply(d, d, out=d)
         for axis in range(1, queries.shape[-1]):
             d = queries[..., axis] - points[..., axis]
-            sq += d * d
+            sq += np.multiply(d, d, out=d)
     return sq
-
-
-def _checked_queries(queries, dim: int) -> np.ndarray:
-    """``queries`` as a float64 (m, dim) array; InvalidInputError unless shaped so and finite."""
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != dim:
-        raise InvalidInputError(f"queries must have shape (m, {dim}), got {queries.shape}")
-    if not np.isfinite(queries).all():
-        raise InvalidInputError("queries contain NaN or infinite coordinates")
-    return queries
 
 
 class NNIndex:
@@ -110,7 +110,12 @@ class NNIndex:
 
     def query_many(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized query of finite (m, dim) rows; returns (indices, distances) arrays."""
-        queries = _checked_queries(queries, self.source.dim)
+        queries = np.asarray(queries, dtype=np.float64)
+        dim = self.source.dim
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise InvalidInputError(f"queries must have shape (m, {dim}), got {queries.shape}")
+        if not np.isfinite(queries).all():
+            raise InvalidInputError("queries contain NaN or infinite coordinates")
         return _nearest_tree(self.tree, self.source.points, queries)
 
 
@@ -119,10 +124,12 @@ def build_index(cloud: PointCloud) -> NNIndex:
     return NNIndex(cloud)
 
 
-def _nearest_in_block(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise nearest neighbors of a (queries x targets) squared-distance block."""
-    idx = sq.argmin(axis=1)  # first minimum = lowest index
-    return idx, np.sqrt(sq[np.arange(sq.shape[0]), idx])
+def _nearest_in_block(sq: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest neighbors along ``axis`` of a (p x g) squared-distance block: axis 1
+    gives each row's nearest column, axis 0 each column's nearest row."""
+    idx = sq.argmin(axis=axis)  # first minimum = lowest index
+    other = np.arange(sq.shape[1 - axis])
+    return idx, np.sqrt(sq[other, idx] if axis == 1 else sq[idx, other])
 
 
 def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
@@ -158,25 +165,11 @@ def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
     return indices, np.sqrt(best)
 
 
-def nearest_neighbors(
-    queries: np.ndarray, target: PointCloud, *, block: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest target point for every query row: (indices, distances).
-
-    Without ``block`` this is ``build_index(target).query_many(queries)``.
-    ``block`` is the caller's (queries x target) ``_row_sq_dists`` block, which
-    replaces the search when given. Both paths reject the same queries and
-    agree bit for bit with a brute-force scan, including the lowest-index tie
-    rule.
-    """
-    if block is None:
-        return build_index(target).query_many(queries)
-    queries = _checked_queries(queries, target.dim)
-    if np.shape(block) != (len(queries), len(target)):
-        raise InvalidInputError(
-            f"block must have shape ({len(queries)}, {len(target)}), got {np.shape(block)}"
-        )
-    return _nearest_in_block(block)
+def nearest_neighbors(queries, target: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest target point for every query row: (indices, distances), equal bit for
+    bit to a brute-force scan, lowest index on ties. It is
+    ``build_index(target).query_many(queries)``."""
+    return build_index(target).query_many(queries)
 
 
 def _check_pair(p: PointCloud, g: PointCloud) -> None:
@@ -224,8 +217,9 @@ class Matching:
     first use, so a caller that needs one direction pays for one pass. When
     both clouds have at most _BRUTE_FORCE_MAX points, the one (p x g)
     squared-distance block built here serves both directions: its rows for
-    ``p_to_g`` and its columns for ``g_to_p``. Otherwise each direction runs
-    on the kd-tree.
+    ``p_to_g`` and its columns for ``g_to_p``, read by ``_nearest_in_block``
+    with no further check, since both clouds are checked and of one dimension.
+    Otherwise each direction runs on the kd-tree through ``nearest_neighbors``.
     """
 
     def __init__(self, p: PointCloud, g: PointCloud):
@@ -240,14 +234,15 @@ class Matching:
     @property
     def p_to_g(self) -> tuple[np.ndarray, np.ndarray]:
         if self._p_to_g is None:
-            self._p_to_g = nearest_neighbors(self.p.points, self.g, block=self._block)
+            self._p_to_g = (nearest_neighbors(self.p.points, self.g) if self._block is None
+                            else _nearest_in_block(self._block, 1))
         return self._p_to_g
 
     @property
     def g_to_p(self) -> tuple[np.ndarray, np.ndarray]:
         if self._g_to_p is None:
-            block = None if self._block is None else self._block.T
-            self._g_to_p = nearest_neighbors(self.g.points, self.p, block=block)
+            self._g_to_p = (nearest_neighbors(self.g.points, self.p) if self._block is None
+                            else _nearest_in_block(self._block, 0))
         return self._g_to_p
 
     @property

@@ -227,18 +227,20 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
     target once and sums the stage values; ``param.chain`` sums the stage
     gradients onto the parameters. The fine stage's matching, weights and
     state gradient feed the trace snapshot and the uncertainty update.
-    Returns the stage clouds of the last evaluation.
+    The start clouds are checked ``PointCloud``s; each later one wraps stepped
+    rows that the loop has found finite. Returns the stage clouds of the last
+    evaluation.
     """
     theta = param.start.copy()
     velocity = np.zeros_like(theta)
     records: list[TraceRecord] = []
     target, loss = stages[-1]
     center = target.points.mean(axis=0)
-    stage_points = param.clouds(theta)
-    radius_sq = max(_row_sq_dists(x, center).max() for x in [*stage_points, target.points])
+    with np.errstate(over="ignore", invalid="ignore"):  # PointCloud reports an overflow
+        clouds = [PointCloud(points) for points in param.clouds(theta)]
+    radius_sq = max(_row_sq_dists(c.points, center).max() for c in [*clouds, target])
     reach_sq = DIVERGENCE_FACTOR**2 * radius_sq  # radius of init and target about the centroid
     for step in range(config.steps + 1):
-        clouds = [PointCloud(points) for points in stage_points]
         if max(_row_sq_dists(c.points, center).max() for c in clouds) > reach_sq:
             # hypot does not square, so a finite offset past 1e154 reports a finite distance
             spread = max(float(np.hypot.reduce(c.points - center, axis=1).max()) for c in clouds)
@@ -273,6 +275,7 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
             stage_points = param.clouds(theta)  # a coarse point plus its offset can overflow
         if not all(np.isfinite(points).all() for points in stage_points):
             raise DivergenceError(f"coordinates became non-finite at step {step}")
+        clouds = [PointCloud._trusted(points) for points in stage_points]
         if state_grad is not None:
             s_local = loss.state.s_local - config.step_size * state_grad[0]
             s_global = loss.state.s_global - config.step_size * state_grad[1]

@@ -276,18 +276,31 @@ def _point_triangle_sqdists(q: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.n
     sq = np.minimum(seg_sq(a, b), np.minimum(seg_sq(b, c), seg_sq(c, a)))
 
     # interior of the triangle: barycentric projection onto its plane
-    e0, e1 = b - a, c - a
-    d00 = np.einsum("ij,ij->i", e0, e0)
-    d01 = np.einsum("ij,ij->i", e0, e1)
-    d11 = np.einsum("ij,ij->i", e1, e1)
-    det = d00 * d11 - d01 * d01
-    dp = q - a
-    d0p = np.einsum("ij,ij->i", e0, dp)
-    d1p = np.einsum("ij,ij->i", e1, dp)
-    u = (d11 * d0p - d01 * d1p) / det
-    v = (d00 * d1p - d01 * d0p) / det
-    inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-    proj = a + u[:, None] * e0 + v[:, None] * e1
+    def barycentric(e0, e1, dp):
+        d00 = np.einsum("ij,ij->i", e0, e0)
+        d01 = np.einsum("ij,ij->i", e0, e1)
+        d11 = np.einsum("ij,ij->i", e1, e1)
+        det = d00 * d11 - d01 * d01
+        d0p = np.einsum("ij,ij->i", e0, dp)
+        d1p = np.einsum("ij,ij->i", e1, dp)
+        return (d11 * d0p - d01 * d1p) / det, (d00 * d1p - d01 * d0p) / det
+
+    # u and v are linear in dp, and a squared edge times a far point's dot product can
+    # overflow where its squared distance does not: such rows take dp scaled by the
+    # power of two that brings it to their edges' size, and their u and v scaled
+    # back, both exact short of underflow. A u or v that is still not finite fails
+    # the inside test, and its row keeps its edge distance.
+    e0, e1, dp = b - a, c - a, q - a
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = barycentric(e0, e1, dp)
+        far = ~(np.isfinite(u) & np.isfinite(v))
+        if far.any():
+            size = np.maximum(np.abs(e0[far]).max(axis=1), np.abs(e1[far]).max(axis=1))
+            shift = np.frexp(np.abs(dp[far]).max(axis=1))[1] - np.frexp(size)[1]
+            near_u, near_v = barycentric(e0[far], e1[far], np.ldexp(dp[far], -shift[:, None]))
+            u[far], v[far] = np.ldexp(near_u, shift), np.ldexp(near_v, shift)
+        inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+        proj = a + u[:, None] * e0 + v[:, None] * e1
     delta = q - proj
     plane_sq = np.einsum("ij,ij->i", delta, delta)
     return np.where(inside, np.minimum(sq, plane_sq), sq)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +61,22 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def nn_calls(monkeypatch) -> list[int]:
-    """Row counts of the nearest_neighbors passes made through any chamferlab module."""
+    """Row counts of the nearest-neighbour passes, counted where the work is done: each
+    ``NNIndex.query_many`` (every kd-tree search) and each direction a ``Matching``
+    reads from its block with ``cloud._nearest_in_block``."""
     calls: list[int] = []
-    original = cloud.nearest_neighbors
+    query_many, in_block = cloud.NNIndex.query_many, cloud._nearest_in_block
 
-    def counted(queries, *args, **kwargs):
+    def counted_query_many(self, queries):
         calls.append(len(queries))
-        return original(queries, *args, **kwargs)
+        return query_many(self, queries)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "chamferlab" and getattr(module, "nearest_neighbors", None) is original:
-            monkeypatch.setattr(module, "nearest_neighbors", counted)
+    def counted_in_block(sq, axis):
+        calls.append(sq.shape[1 - axis])
+        return in_block(sq, axis)
+
+    monkeypatch.setattr(cloud.NNIndex, "query_many", counted_query_many)
+    monkeypatch.setattr(cloud, "_nearest_in_block", counted_in_block)
     return calls
 
 

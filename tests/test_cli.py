@@ -172,6 +172,19 @@ class TestMetricsCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             4, "", "error: p2f: a squared distance to the mesh overflows\n")
 
+    def test_a_point_far_from_a_mid_size_triangle_prints_no_warning(self, tmp_path):
+        cloud, mesh = tmp_path / "farpt.xyz", tmp_path / "mid.ply"
+        cloud.write_text("1e140 1e140 1e140\n")
+        mesh.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+            "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+            "end_header\n0 0 0\n1e60 0 0\n0 1e60 0\n3 0 1 2\n"
+        )
+        proc = _fresh_python("-m", "chamferlab.cli", "metrics", str(cloud), str(cloud),
+                             "--mesh", str(mesh))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["p2f"] == 1.7320508075688774e+140
+
     def test_out_dir_writes_report_and_manifest(self, fixture_files, tmp_path, capsys):
         pred, gt = fixture_files
         out = tmp_path / "out"

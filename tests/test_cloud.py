@@ -109,14 +109,11 @@ class TestNearest:
             lambda q, target: build_index(target).query_many(q),
             lambda q, target: nearest_hit_counts(PointCloud(q), build_index(target)),
             lambda q, target: nearest_neighbors(q, target),
-            lambda q, target: nearest_neighbors(q, target, block=np.zeros((1, len(target)))),
         ],
-        ids=["query", "query_many", "nearest_hit_counts", "nearest_neighbors-tree",
-             "nearest_neighbors-block"],
+        ids=["query", "query_many", "nearest_hit_counts", "nearest_neighbors-tree"],
     )
     def test_one_query_contract(self, rng, search, bad):
-        # every search entry point rejects the same queries, whether it searches
-        # the kd-tree of a 100-point target or reads a caller's block
+        # every search entry point rejects the same queries on a 100-point target
         queries = {"wrong-dim": [[0.5, 0.5]], "nan": [[np.nan, 0.5, 0.5]]}[bad]
         with pytest.raises(InvalidInputError):
             search(np.array(queries), random_cloud(rng, 100))
@@ -355,11 +352,18 @@ class TestMatching:
         with pytest.raises(TypeError):
             nearest_neighbors(p.points, g, cloud_module.NNIndex(p))
 
-    @pytest.mark.parametrize("shape", [(4, 5), (5,), (5, 4, 1), (5, 3)])
-    def test_misshaped_block_is_rejected(self, rng, shape):
-        queries, target = rng.random((5, 3)), random_cloud(rng, 4)
-        with pytest.raises(InvalidInputError):
-            nearest_neighbors(queries, target, block=np.zeros(shape))
+    @pytest.mark.parametrize("name", ["lattice-3d", "lattice-2d", "duplicates", "1x64", "64x3"])
+    def test_g_to_p_is_a_column_scan_of_the_block(self, rng, name):
+        # each g point's nearest p point is its column's first minimum in the
+        # (p x g) reduction, index and distance bit for bit, on tie-heavy pairs
+        p, g = next((p, g) for pair, p, g in _small_pairs(rng) if pair == name)
+        diff = p[:, None] - g[None]
+        block = (diff * diff).sum(axis=-1)
+        idx, dist = Matching(PointCloud(p), PointCloud(g)).g_to_p
+        for j in range(len(g)):
+            column = block[:, j]
+            first = int(np.flatnonzero(column == column.min())[0])
+            assert (idx[j], dist[j].tobytes()) == (first, np.sqrt(column[first]).tobytes()), j
 
 
 class TestHitCounts:

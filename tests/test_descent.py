@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from chamferlab import (
     support_pinning,
     uncertainty_loss,
 )
+from chamferlab import descent
 from chamferlab import schedule_weights as schedule_weights_fn
 from chamferlab.cloud import nearest_neighbors
 from chamferlab.descent import _Loss
@@ -536,6 +538,40 @@ def test_snapshot_emd_overflow_names_column_and_step():
         optimize(cloud, cloud, ObjectiveSpec("cd-l1"), config)
 
 
+@pytest.fixture
+def checks_in_descend(monkeypatch) -> list[int]:
+    """``PointCloud.__post_init__`` calls made inside each ``descent._descend`` run."""
+    built, runs = [], []
+    post_init, descend = PointCloud.__post_init__, descent._descend
+
+    def counted_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counted_descend(*args):
+        built.clear()
+        out = descend(*args)
+        runs.append(len(built))
+        return out
+
+    monkeypatch.setattr(PointCloud, "__post_init__", counted_post_init)
+    monkeypatch.setattr(descent, "_descend", counted_descend)
+    return runs
+
+
+def test_stage_clouds_are_checked_once_at_the_start(checks_in_descend):
+    init, target = clustered_grid_benchmark(64, seed=42)
+    config = OptimizerConfig(steps=50, step_size=0.05, record_every=10)
+    final, _ = optimize(init, target, ObjectiveSpec("fcd", FcdWeights(1.0, 2.0)), config)
+    fine, coarse, _ = optimize_hierarchical(PointCloud(init.points[::4]), HierarchySpec(4), target,
+                                            ScheduleSpec("static"), config)
+    assert checks_in_descend == [1, 2]  # one per stage; each step's clouds are trusted
+    for cloud in (final, fine, coarse):
+        assert not cloud.points.flags.writeable
+        with pytest.raises(ValueError):
+            cloud.points[0, 0] = 1.0
+
+
 class TestHierarchical:
     def test_overflowing_fine_cloud_is_divergence(self, recwarn):
         # theta stays finite, but a coarse point plus its child offset overflows
@@ -546,6 +582,18 @@ class TestHierarchical:
             optimize_hierarchical(init, HierarchySpec(2, offset_scale=0.0), target,
                                   ScheduleSpec("static"), config)
         assert not recwarn.list
+
+    def test_an_overflowing_start_cloud_is_rejected_without_a_warning(self):
+        # the start fine cloud's first point, 1.5e308 plus an offset, overflows: the checked
+        # start cloud rejects it before any step, as it rejects every bad start
+        init = PointCloud([[1.5e308, 0.0], [0.0, 1.0]])
+        target = PointCloud([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match="^points contain NaN or infinite coordinates$"):
+                optimize_hierarchical(init, HierarchySpec(2, offset_scale=1e308), target,
+                                      ScheduleSpec("static"), OptimizerConfig(steps=3, step_size=0.1))
 
     def test_perfect_start_stays_put(self, rng):
         target = random_cloud(rng, 12)

@@ -674,6 +674,21 @@ class TestPointToMesh:
             with pytest.raises(NumericalError, match=f"^p2f: {message}$"):
                 report(cloud, cloud, 0.01, 1000.0, mesh=mesh)
 
+    def test_a_point_far_from_a_mid_size_triangle_prints_no_warning(self):
+        # a squared edge (1e120) times the point's dot product with an edge (1e200)
+        # overflows, though every squared distance is finite; the in-plane projection
+        # lies far outside, so the value is the edge distance
+        mesh = TriangleMesh([[0.0, 0, 0], [1e60, 0, 0], [0, 1e60, 0]], [[0, 1, 2]])
+        far = PointCloud([[1e140, 1e140, 1e140]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert point_to_mesh(far, mesh) == 1.7320508075688774e+140
+            # a row beside it that projects inside keeps its plane distance
+            rows = np.array([[1e140, 1e140, 1e140], [2.5e59, 2.5e59, 3.0]])
+            corners = [np.repeat(vertex[None], 2, axis=0) for vertex in mesh.vertices]
+            sq = metrics._point_triangle_sqdists(rows, *corners)
+        assert np.sqrt(sq[0]) == 1.7320508075688774e+140 and sq[1] == 9.0
+
 
 class TestFidelity:
     def test_subset_is_zero(self, rng):

@@ -150,6 +150,9 @@ def _runs() -> dict[str, list[str]]:
         "metrics-mesh-huge-thin": [
             "metrics", "tilted_p.xyz", "tilted_p.xyz", "--mesh", "thin_mesh.ply",
         ],
+        # a point whose dot product with an edge, times a squared edge, overflows
+        # though its squared distance to the triangle does not
+        "metrics-mesh-far-point": ["metrics", "farpt.xyz", "farpt.xyz", "--mesh", "mid.ply"],
     }
     for kind in SCHEDULE_KINDS:
         runs[f"schedule-{kind}"] = ["schedule", "--kind", kind]
@@ -418,6 +421,8 @@ def _write_inputs(root: Path) -> None:
     files["tilted_p.xyz"] = "0 0 1\n1 0 0\n0 1 0\n"
     files["huge_mesh.ply"] = _ply(["-1e80 -1e80 0", "1e80 -1e80 0", "0 2e80 0"], ["3 0 1 2"])
     files["thin_mesh.ply"] = _ply(["0 0 0", "1e200 1e200 0", "1e200 1e200 1"], ["3 0 1 2"])
+    files["farpt.xyz"] = "1e140 1e140 1e140\n"
+    files["mid.ply"] = _ply(["0 0 0", "1e60 0 0", "0 1e60 0"], ["3 0 1 2"])
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
