@@ -227,61 +227,61 @@ def _descend(param: _FreePoints | _Skeleton, stages: list[tuple[PointCloud, _Los
     target once and sums the stage values; ``param.chain`` sums the stage
     gradients onto the parameters. The fine stage's matching, weights and
     state gradient feed the trace snapshot and the uncertainty update.
-    The start clouds are checked ``PointCloud``s; each later one wraps stepped
-    rows that the loop has found finite. Returns the stage clouds of the last
-    evaluation.
+    The start clouds are checked ``PointCloud``s; each later one wraps stepped rows
+    that one pass over their squared distances to the target centroid has found
+    finite and within reach. Returns the stage clouds of the last evaluation.
     """
     theta = param.start.copy()
     velocity = np.zeros_like(theta)
     records: list[TraceRecord] = []
     target, loss = stages[-1]
-    center = target.points.mean(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # PointCloud reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report an overflow
+        center = target.points.mean(axis=0)
         clouds = [PointCloud(points) for points in param.clouds(theta)]
-    radius_sq = max(_row_sq_dists(c.points, center).max() for c in [*clouds, target])
-    reach_sq = DIVERGENCE_FACTOR**2 * radius_sq  # radius of init and target about the centroid
-    for step in range(config.steps + 1):
-        if max(_row_sq_dists(c.points, center).max() for c in clouds) > reach_sq:
-            # hypot does not square, so a finite offset past 1e154 reports a finite distance
-            spread = max(float(np.hypot.reduce(c.points - center, axis=1).max()) for c in clouds)
-            raise DivergenceError(
-                f"a point lies {spread:.3e} from the target centroid, beyond "
-                f"{DIVERGENCE_FACTOR:.0e} x the radius of init and target, at step {step}"
-            )
-        value, grads = 0.0, []
-        for cloud, (stage_target, stage_loss) in zip(clouds, stages):
-            m = Matching(cloud, stage_target)
-            try:
-                stage_value, stage_grad, weights, state_grad = stage_loss.value_grad(m, step)
-            except NumericalError as exc:  # a non-finite gradient, or uncertainty weights
-                raise DivergenceError(f"{exc} at step {step}") from None
-            value += stage_value
-            grads.append(stage_grad)
-        grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
-        if not math.isfinite(value):
-            raise DivergenceError(f"objective became non-finite at step {step}")
-        if param.frozen.size:  # before the snapshot, so its grad_max is the applied gradient's
-            grad[param.frozen] = 0.0
-        if step % config.record_every == 0 or step == config.steps:
-            records.append(_snapshot(step, value, weights, grad, m, config.seed))
-        if step == config.steps:
-            return clouds, OptimizationTrace(records)
+        radius_sq = max(_row_sq_dists(c.points, center).max() for c in [*clouds, target])
+        reach_sq = DIVERGENCE_FACTOR**2 * radius_sq  # radius of init and target about the centroid
+        for step in range(config.steps + 1):
+            value, grads = 0.0, []
+            for cloud, (stage_target, stage_loss) in zip(clouds, stages):
+                m = Matching(cloud, stage_target)
+                try:
+                    stage_value, stage_grad, weights, state_grad = stage_loss.value_grad(m, step)
+                except NumericalError as exc:  # a non-finite gradient, or uncertainty weights
+                    raise DivergenceError(f"{exc} at step {step}") from None
+                value += stage_value
+                grads.append(stage_grad)
+            grad = param.chain(grads)  # m, weights and state_grad are the fine stage's
+            if not math.isfinite(value):
+                raise DivergenceError(f"objective became non-finite at step {step}")
+            if param.frozen.size:  # before the snapshot, so its grad_max is the applied gradient's
+                grad[param.frozen] = 0.0
+            if step % config.record_every == 0 or step == config.steps:
+                records.append(_snapshot(step, value, weights, grad, m, config.seed))
+            if step == config.steps:
+                return clouds, OptimizationTrace(records)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # the checks below report an overflow
             if config.momentum_coeff:
                 velocity = config.momentum_coeff * velocity + grad
                 grad = velocity
             theta = theta - config.step_size * grad
             stage_points = param.clouds(theta)  # a coarse point plus its offset can overflow
-        if not all(np.isfinite(points).all() for points in stage_points):
-            raise DivergenceError(f"coordinates became non-finite at step {step}")
-        clouds = [PointCloud._trusted(points) for points in stage_points]
-        if state_grad is not None:
-            s_local = loss.state.s_local - config.step_size * state_grad[0]
-            s_global = loss.state.s_global - config.step_size * state_grad[1]
-            if not (math.isfinite(s_local) and math.isfinite(s_global)):
-                raise DivergenceError(f"uncertainty state left the float range at step {step}")
-            loss.state = UncertaintyState(s_local, s_global)
+            tops = [_row_sq_dists(points, center).max() for points in stage_points]
+            if not (all(map(math.isfinite, tops)) or all(np.isfinite(p).all() for p in stage_points)):
+                raise DivergenceError(f"coordinates became non-finite at step {step}")
+            clouds = [PointCloud._trusted(points) for points in stage_points]
+            if state_grad is not None:
+                s_local = loss.state.s_local - config.step_size * state_grad[0]
+                s_global = loss.state.s_global - config.step_size * state_grad[1]
+                if not (math.isfinite(s_local) and math.isfinite(s_global)):
+                    raise DivergenceError(f"uncertainty state left the float range at step {step}")
+                loss.state = UncertaintyState(s_local, s_global)
+            if max(tops) > reach_sq:
+                # hypot does not square, so a finite offset past 1e154 reports a finite distance
+                spread = max(float(np.hypot.reduce(p - center, axis=1).max()) for p in stage_points)
+                raise DivergenceError(
+                    f"a point lies {spread:.3e} from the target centroid, beyond "
+                    f"{DIVERGENCE_FACTOR:.0e} x the radius of init and target, at step {step + 1}"
+                )
 
 
 def optimize(
@@ -330,7 +330,7 @@ def optimize_hierarchical(
     if count > len(target):
         raise InvalidInputError(f"more coarse points than target points ({count} > {len(target)})")
 
-    coarse_target = subsample(target, count, "farthest-point", config.seed)
+    coarse_target = subsample(target, count, "farthest-point")
     rng = np.random.default_rng(config.seed)
     n_fine = count * hierarchy.children_per_coarse
     offsets = hierarchy.offset_scale * rng.standard_normal((n_fine, init_coarse.dim))

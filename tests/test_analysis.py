@@ -155,6 +155,17 @@ class TestSweep:
             SweepConfig(base.g1, base.g2, base.p1, np.array([0.3, 1.0]), base.weights)
         with pytest.raises(InvalidInputError):
             SweepConfig(base.g1, base.g2, base.p1, np.array([1.0, 2.0]), base.weights)
+        for xs in ([], [0.7, np.nan], [0.7, np.inf]):
+            with pytest.raises(InvalidInputError, match="^xs must be a non-empty finite sequence$"):
+                SweepConfig(base.g1, base.g2, base.p1, xs, base.weights)
+
+    @pytest.mark.parametrize("name, point", [("g1", [np.nan, 0.0]), ("g2", [4.0, 0.0, 0.0]),
+                                             ("p1", [np.inf, 0.0])])
+    def test_rejects_a_point_that_is_not_finite_2d(self, name, point):
+        base = default_sweep_config()
+        points = {"g1": base.g1, "g2": base.g2, "p1": base.p1, name: point}
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a finite 2D point$"):
+            SweepConfig(**points, xs=base.xs, weights=base.weights)
 
     def test_rejects_abscissae_at_or_past_the_far_target(self):
         base = default_sweep_config()

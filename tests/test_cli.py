@@ -196,6 +196,13 @@ class TestMetricsCommand:
         assert manifest["command"] == "metrics"
         assert str(pred) in manifest["inputs"]
 
+    def test_csv_is_the_out_dir_report_csv(self, fixture_files, tmp_path, capsys):
+        pred, gt = fixture_files
+        csv, out = tmp_path / "out.csv", tmp_path / "out"
+        assert main(["metrics", str(pred), str(gt), "--csv", str(csv), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert csv.read_bytes() == (out / "report.csv").read_bytes()
+
     def test_fidelity_and_mesh_flags(self, tmp_path, capsys, rng):
         pred = tmp_path / "pred.xyz"
         gt = tmp_path / "gt.xyz"
@@ -470,6 +477,16 @@ class TestOptimizeCommand:
         assert match, err
         assert 1e299 < float(match.group(1)) < math.inf
         assert not out.exists()
+
+    def test_a_huge_weight_prints_one_error_line(self, tmp_path):
+        # the trace's grad_max squares a gradient of about 1e198 before the guard stops the
+        # run; a fresh interpreter's stderr would also show any numpy warning
+        proc = _fresh_python("-m", "chamferlab.cli", "optimize", "--benchmark", "clustered-grid",
+                             "--alpha", "1e200", "--steps", "3", "--out-dir", str(tmp_path / "run"))
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert re.fullmatch(r"error: a point lies 7\.813e\+196 from the target centroid, .* "
+                            r"at step 1\n", proc.stderr), proc.stderr
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "flags",

@@ -57,6 +57,16 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 1.0
 
+    def test_a_single_row_is_one_point(self):
+        cloud = PointCloud([1.0, 2.0, 3.0])
+        assert cloud.points.shape == (1, 3)
+        assert cloud == PointCloud([[1.0, 2.0, 3.0]])
+
+    def test_a_cloud_is_not_equal_to_other_types(self):
+        cloud = PointCloud([[0.0, 1.0]])
+        assert (cloud == [[0.0, 1.0]]) is False
+        assert cloud != "cloud"
+
     def test_order_preserved(self):
         pts = [[2.0, 0.0], [1.0, 0.0], [3.0, 0.0]]
         cloud = PointCloud(pts)

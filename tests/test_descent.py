@@ -359,8 +359,35 @@ def test_divergence_guard():
     init = PointCloud([[0.0, 0.0], [1.0, 0.0]])
     target = PointCloud([[0.5, 0.0], [3.0, 0.0]])
     config = OptimizerConfig(steps=200, step_size=50.0, record_every=200)
-    with pytest.raises(DivergenceError):
+    # the stepped points overshoot by a growing factor until one passes 1e6 x the radius
+    with pytest.raises(DivergenceError, match=r"^a point lies 5\.202e\+07 .* at step 4$"):
         optimize(init, target, ObjectiveSpec("cd-l2"), config)
+
+
+def test_a_huge_weight_diverges_without_a_warning():
+    # the first gradient is finite but its squares overflow in the trace's grad_max,
+    # and the first step throws the points past the divergence radius
+    objective = ObjectiveSpec("fcd", FcdWeights(1e200, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=r"^a point lies 7\.813e\+196 .* at step 1$"):
+            optimize(*clustered_grid_benchmark(64, 42), objective,
+                     OptimizerConfig(steps=3, step_size=0.05))
+
+
+@pytest.mark.parametrize("step_size, message", [
+    (1e305, "^uncertainty state left the float range at step 0$"),
+    (1e304, r"^a point lies 2\.062e\+304 from the target centroid, .* at step 1$"),
+])
+def test_the_uncertainty_state_is_checked_before_the_guard(step_size, message):
+    # at 1e305 the stepped points are finite and beyond reach, but the state's
+    # step leaves the float range first; at 1e304 the state stays finite
+    rng = np.random.default_rng(0)
+    init = PointCloud(0.05 * rng.standard_normal((16, 2)))
+    target = PointCloud(1000 + rng.random((16, 2)))
+    config = OptimizerConfig(steps=3, step_size=step_size)
+    with pytest.raises(DivergenceError, match=message):
+        optimize(init, target, ObjectiveSpec("fcd"), config, schedule=ScheduleSpec("uncertainty"))
 
 
 def test_overflowing_uncertainty_weights_are_divergence():
@@ -539,27 +566,34 @@ def test_snapshot_emd_overflow_names_column_and_step():
 
 
 @pytest.fixture
-def checks_in_descend(monkeypatch) -> list[int]:
-    """``PointCloud.__post_init__`` calls made inside each ``descent._descend`` run."""
-    built, runs = [], []
-    post_init, descend = PointCloud.__post_init__, descent._descend
-
-    def counted_post_init(self):
-        built.append(1)
-        post_init(self)
+def calls_in_descend(monkeypatch):
+    """``count(owner, name)`` counts the calls of ``owner.name`` and returns the list of
+    the counts made inside each ``descent._descend`` run."""
+    calls, runs = [], []
+    descend = descent._descend
 
     def counted_descend(*args):
-        built.clear()
+        calls.clear()
         out = descend(*args)
-        runs.append(len(built))
+        runs.append(len(calls))
         return out
 
-    monkeypatch.setattr(PointCloud, "__post_init__", counted_post_init)
+    def count(owner, name: str) -> list[int]:
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return runs
+
     monkeypatch.setattr(descent, "_descend", counted_descend)
-    return runs
+    return count
 
 
-def test_stage_clouds_are_checked_once_at_the_start(checks_in_descend):
+def test_stage_clouds_are_checked_once_at_the_start(calls_in_descend):
+    checks_in_descend = calls_in_descend(PointCloud, "__post_init__")
     init, target = clustered_grid_benchmark(64, seed=42)
     config = OptimizerConfig(steps=50, step_size=0.05, record_every=10)
     final, _ = optimize(init, target, ObjectiveSpec("fcd", FcdWeights(1.0, 2.0)), config)
@@ -570,6 +604,27 @@ def test_stage_clouds_are_checked_once_at_the_start(checks_in_descend):
         assert not cloud.points.flags.writeable
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 1.0
+
+
+def test_each_stepped_cloud_is_judged_in_one_pass(calls_in_descend):
+    # two distance passes set the radius; each later stage cloud takes one, the start clouds none
+    passes_in_descend = calls_in_descend(descent, "_row_sq_dists")
+    init, target = clustered_grid_benchmark(64, seed=42)
+    config = OptimizerConfig(steps=50, step_size=0.05, record_every=10)
+    optimize(init, target, ObjectiveSpec("fcd", FcdWeights(1.0, 2.0)), config)
+    optimize_hierarchical(PointCloud(init.points[::4]), HierarchySpec(4), target,
+                          ScheduleSpec("static"), config)
+    assert passes_in_descend == [2 + 50, 3 + 2 * 50]
+
+
+def test_a_step_enters_numpy_errstate_three_times(calls_in_descend):
+    # the Matching block, the gradient and the stepped cloud's distance pass
+    enters_in_descend = calls_in_descend(np.errstate, "__enter__")
+    init, target = clustered_grid_benchmark(64, seed=42)
+    for steps in (50, 51):  # both record steps 0 and the last
+        optimize(init, target, ObjectiveSpec("fcd", FcdWeights(1.0, 2.0)),
+                 OptimizerConfig(steps=steps, step_size=0.05, record_every=100))
+    assert enters_in_descend[1] - enters_in_descend[0] == 3
 
 
 class TestHierarchical:

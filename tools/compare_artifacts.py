@@ -316,6 +316,14 @@ def _runs() -> dict[str, list[str]]:
             objective, "--pin", "0", "--steps", "40", "--step-size", "0.01", "--record-every", "10",
             "--out-dir", "run",
         ]
+    # a finite first gradient whose squares overflow in the trace's grad_max; the first
+    # step throws the points past the divergence radius
+    runs["optimize-huge-weight"] = [*BENCH, "--alpha", "1e200", "--steps", "3", "--out-dir", "run"]
+    # the two-point overshoot grows each step until the guard stops it at step 4
+    runs["optimize-divergence-guard"] = [
+        "optimize", "--init", "guard_p.xyz", "--target", "guard_g.xyz", "--objective", "cd-l2",
+        "--step-size", "50", "--steps", "200", "--out-dir", "run",
+    ]
     return runs
 
 
@@ -423,6 +431,8 @@ def _write_inputs(root: Path) -> None:
     files["thin_mesh.ply"] = _ply(["0 0 0", "1e200 1e200 0", "1e200 1e200 1"], ["3 0 1 2"])
     files["farpt.xyz"] = "1e140 1e140 1e140\n"
     files["mid.ply"] = _ply(["0 0 0", "1e60 0 0", "0 1e60 0"], ["3 0 1 2"])
+    files["guard_p.xyz"] = "0 0\n1 0\n"
+    files["guard_g.xyz"] = "0.5 0\n3 0\n"
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text, encoding="utf-8")
