@@ -40,10 +40,13 @@ class PointCloud:
     """An ordered, finite set of 2D or 3D points.
 
     Point order is preserved: the row index is a stable identifier used by
-    nearest-neighbor queries, hit counts, and pinning.
+    nearest-neighbor queries, hit counts, and pinning. The points are read-only,
+    so the cloud keeps the ``NNIndex`` of its first kd-tree search for every later
+    one (``nearest_neighbors``).
     """
 
     points: np.ndarray
+    _index = None  # not a field: set once, by nearest_neighbors
 
     def __post_init__(self):
         arr = _as_points(self.points)
@@ -54,7 +57,9 @@ class PointCloud:
     @classmethod
     def _trusted(cls, points: np.ndarray) -> PointCloud:
         """A cloud over a read-only view of ``points``, with no copy and no check: only
-        for finite float64 (n, 2 or 3) rows that the caller has checked itself."""
+        for finite float64 (n, 2 or 3) rows that the caller has checked itself, in an
+        array that nothing writes afterwards, since the cloud may keep a kd-tree over
+        them. The descent wraps the fresh ``theta - step * grad`` array of one step."""
         cloud = object.__new__(cls)
         view = points.view()
         view.setflags(write=False)
@@ -168,8 +173,13 @@ def _nearest_tree(tree: cKDTree, sources: np.ndarray, queries: np.ndarray):
 def nearest_neighbors(queries, target: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     """Nearest target point for every query row: (indices, distances), equal bit for
     bit to a brute-force scan, lowest index on ties. It is
-    ``build_index(target).query_many(queries)``."""
-    return build_index(target).query_many(queries)
+    ``build_index(target).query_many(queries)``, with the index built on the target's
+    first search and kept on the target for every later one."""
+    if target._index is None:  # two first searches on threads may both build; either serves
+        # over a twin cloud: an index whose source is the target itself would form a
+        # reference cycle, and only the cyclic collector would free the two
+        object.__setattr__(target, "_index", build_index(PointCloud._trusted(target.points)))
+    return target._index.query_many(queries)
 
 
 def _check_pair(p: PointCloud, g: PointCloud) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 from itertools import islice
 
@@ -15,15 +16,34 @@ def read_xyz(path: str | os.PathLike) -> PointCloud:
     """Read a whitespace-separated coordinate file.
 
     One point per line; lines starting with ``#`` are comments; blank lines
-    are ignored. Dimension (2 or 3) is inferred from the first point.
+    are ignored. Dimension (2 or 3) is inferred from the first point. A valid
+    file without comments takes one ``np.loadtxt`` conversion, which splits and
+    parses as ``str.split`` and ``float`` do; any other file is read row by row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [(lineno, tokens) for lineno, line in enumerate(fh, start=1)
+    text = _read_text(path)
+    points = None
+    if text and not text.isspace():  # loadtxt warns on input that holds no row
+        try:
+            points = np.loadtxt(io.StringIO(text), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:  # a comment, a ragged row, or a token only float() reads
+            pass
+    if points is None or not np.isfinite(points).all():
+        rows = [(lineno, tokens) for lineno, line in enumerate(text.split("\n"), start=1)
                 if (tokens := line.split()) and not tokens[0].startswith("#")]
-    points = _coordinate_rows(path, rows, "coordinate")
+        points = _coordinate_rows(path, rows, "coordinate")
     try:
         return PointCloud(points)
     except InvalidInputError as exc:  # a width other than 2 or 3
+        raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _read_text(path) -> str:
+    """The whole file, decoded as UTF-8 at once with universal newlines, so an undecodable
+    byte raises InvalidInputError naming the file and the byte's offset in it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
@@ -107,18 +127,17 @@ def _parse_ply_header(path, lines):
 
 def _read_ply_elements(path) -> dict[str, tuple[list[str], list[tuple[int, list[str]]]]]:
     """The file's elements in header order: name -> (properties, rows of (line number, tokens))."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = enumerate(fh, start=1)
-        elements = {}
-        for name, (count, props) in _parse_ply_header(path, lines).items():
-            rows = [(lineno, line.split()) for lineno, line in islice(lines, count)]
-            if len(rows) < count:
-                raise InvalidInputError(f"{path}: PLY body ends inside element {name!r}")
-            elements[name] = props, rows
-        for lineno, line in lines:  # blank lines may follow the last element, nothing else
-            if tokens := line.split():
-                raise InvalidInputError(f"{path}:{lineno}: PLY row after the last declared "
-                                        f"element: {' '.join(tokens)!r}")
+    lines = enumerate(io.StringIO(_read_text(path)), start=1)  # lines end at "\n" alone
+    elements = {}
+    for name, (count, props) in _parse_ply_header(path, lines).items():
+        rows = [(lineno, line.split()) for lineno, line in islice(lines, count)]
+        if len(rows) < count:
+            raise InvalidInputError(f"{path}: PLY body ends inside element {name!r}")
+        elements[name] = props, rows
+    for lineno, line in lines:  # blank lines may follow the last element, nothing else
+        if tokens := line.split():
+            raise InvalidInputError(f"{path}:{lineno}: PLY row after the last declared "
+                                    f"element: {' '.join(tokens)!r}")
     return elements
 
 

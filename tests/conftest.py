@@ -80,5 +80,19 @@ def nn_calls(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.fixture
+def index_builds(monkeypatch) -> list[PointCloud]:
+    """The clouds that ``cloud.build_index`` builds a kd-tree over, one entry per build."""
+    built: list[PointCloud] = []
+    build_index = cloud.build_index
+
+    def counted(target):
+        built.append(target)
+        return build_index(target)
+
+    monkeypatch.setattr(cloud, "build_index", counted)
+    return built
+
+
 def random_cloud(rng: np.random.Generator, n: int, dim: int = 3, scale: float = 1.0) -> PointCloud:
     return PointCloud(scale * rng.random((n, dim)))

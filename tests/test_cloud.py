@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +363,35 @@ class TestMatching:
         # a target and the index of another cloud can no longer be passed together
         with pytest.raises(TypeError):
             nearest_neighbors(p.points, g, cloud_module.NNIndex(p))
+
+    def test_a_cloud_keeps_the_index_of_its_first_search(self, rng, index_builds, monkeypatch):
+        searched = []
+        query_many = cloud_module.NNIndex.query_many
+
+        def recorded(self, queries):
+            searched.append(self)
+            return query_many(self, queries)
+
+        monkeypatch.setattr(cloud_module.NNIndex, "query_many", recorded)
+        target = random_cloud(rng, 90)
+        for n in (5, 7):
+            queries = random_cloud(rng, n).points
+            idx, dist = nearest_neighbors(queries, target)
+            assert list(zip(idx, dist)) == [brute_force_nearest(target.points, q) for q in queries]
+        assert index_builds == [target]
+        assert searched[0] is searched[1]  # the second search runs on the first one's index
+        assert target == PointCloud(target.points) and repr(target).count("_index") == 0
+
+    def test_a_searched_cloud_is_freed_without_the_cyclic_collector(self, rng):
+        target = random_cloud(rng, 90)
+        nearest_neighbors(random_cloud(rng, 5).points, target)
+        refs = weakref.ref(target), weakref.ref(target._index)
+        gc.disable()
+        try:
+            del target
+            assert [ref() for ref in refs] == [None, None]  # no reference cycle holds them
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("name", ["lattice-3d", "lattice-2d", "duplicates", "1x64", "64x3"])
     def test_g_to_p_is_a_column_scan_of_the_block(self, rng, name):

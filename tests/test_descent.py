@@ -33,6 +33,7 @@ from chamferlab import (
     support_pinning,
     uncertainty_loss,
 )
+from chamferlab import cloud as cloud_module
 from chamferlab import descent
 from chamferlab import schedule_weights as schedule_weights_fn
 from chamferlab.cloud import nearest_neighbors
@@ -615,6 +616,15 @@ def test_each_stepped_cloud_is_judged_in_one_pass(calls_in_descend):
     optimize_hierarchical(PointCloud(init.points[::4]), HierarchySpec(4), target,
                           ScheduleSpec("static"), config)
     assert passes_in_descend == [2 + 50, 3 + 2 * 50]
+
+
+def test_a_stage_target_builds_its_tree_once(calls_in_descend, rng):
+    # 80 against 90 points search the kd-tree both ways: the target's tree once, then one
+    # tree over each of the 51 evaluated clouds
+    builds_in_descend = calls_in_descend(cloud_module, "build_index")
+    init, target = PointCloud(rng.random((80, 2))), PointCloud(rng.random((90, 2)))
+    optimize(init, target, ObjectiveSpec("cd-l1"), OptimizerConfig(steps=50, step_size=0.05))
+    assert builds_in_descend == [1 + 51]
 
 
 def test_a_step_enters_numpy_errstate_three_times(calls_in_descend):

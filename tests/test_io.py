@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chamferlab import InvalidInputError, PointCloud
+from chamferlab import io as io_module
 from chamferlab.cli import main
 from chamferlab.io import read_cloud, read_ply, read_ply_mesh, read_xyz, write_xyz
 
@@ -289,12 +290,18 @@ def test_ply_header_errors_name_the_file(tmp_path, capsys, text, where, message)
         ("long.ply", PLY_CLOUD.replace("1.5 0 0", "1.5 0 0 9"),
          ":10: malformed vertex row: '1.5 0 0 9'"),
         ("wide.xyz", "0 0 0 0\n1 1 1 1\n", ": points must be 2- or 3-dimensional, got dim 4"),
+        ("narrow.xyz", "1\n2\n", ": points must be 2- or 3-dimensional, got dim 1"),
+        ("note.xyz", "1 2 3 # note\n", ":1: malformed coordinate row: '1 2 3 # note'"),
+        ("empty.xyz", "", ": no points found"),
+        ("blank.xyz", " \n\t\n\f\n", ": no points found"),
         ("empty.ply", "ply\nformat ascii 1.0\nelement vertex 0\nproperty float x\n"
          "property float y\nproperty float z\nend_header\n", ": no points found"),
     ],
     ids=["xyz-nan", "xyz-1e999", "xyz-minus-inf", "ply-nan", "ply-long-row", "xyz-4-columns",
+         "xyz-1-column", "xyz-trailing-comment", "xyz-empty", "xyz-whitespace-only",
          "ply-no-vertices"],
 )
+@pytest.mark.filterwarnings("error")  # np.loadtxt warns on input that holds no row
 def test_read_cloud_errors_name_the_file(tmp_path, capsys, name, text, message):
     path = tmp_path / name
     path.write_text(text)
@@ -320,3 +327,62 @@ def test_write_xyz_is_lossless_at_full_precision(tmp_path):
     path = tmp_path / "pi.xyz"
     write_xyz(path, cloud)
     assert read_xyz(path) == cloud
+
+
+ONE_TO_SIX = [["1", "2", "3"], ["4", "5", "6"]]
+
+
+@pytest.mark.parametrize(
+    "data, rows",
+    [
+        (b"1 2 3\r4 5 6\r", ONE_TO_SIX),
+        (b"1 2 3\r\n4 5 6\r\n", ONE_TO_SIX),
+        (b"1\t2\t3\n\t\n4 5\t6\n", ONE_TO_SIX),
+        (b"1\x0c2 3\n\x0c\n4 5 6\x0c\n", ONE_TO_SIX),
+        ("1\xa02 3\n\xa0\n\xa04 5 6\n".encode(), ONE_TO_SIX),
+        ("\uff11 2 3\n".encode(), [["\uff11", "2", "3"]]),
+        (b"+1. .5 -0\n", [["+1.", ".5", "-0"]]),
+    ],
+    ids=["cr-only", "crlf", "tabs", "form-feed", "nbsp", "full-width-digit", "plus-dot-minus-zero"],
+)
+def test_xyz_reads_each_token_as_float_does(tmp_path, data, rows):
+    path = tmp_path / "c.xyz"
+    path.write_bytes(data)
+    points = read_xyz(path).points
+    expected = np.array([[float(t) for t in row] for row in rows])
+    assert points.shape == expected.shape
+    assert points.tobytes() == expected.tobytes()  # -0 keeps its sign bit
+
+
+def test_a_valid_xyz_file_takes_no_row_by_row_pass(tmp_path, rng, monkeypatch):
+    path = tmp_path / "cloud.xyz"
+    write_xyz(path, random_cloud(rng, 50))
+
+    def row_by_row(*args):
+        raise AssertionError("row-by-row pass")
+
+    monkeypatch.setattr(io_module, "_coordinate_rows", row_by_row)
+    assert read_xyz(path) == PointCloud(np.loadtxt(path))
+    path.write_text("# header\n1 2 3\n")
+    with pytest.raises(AssertionError, match="row-by-row pass"):  # a comment needs it
+        read_xyz(path)
+
+
+@pytest.mark.parametrize(
+    "name, head, row",
+    [
+        ("far.xyz", "".join(f"{k} 2 3\n" for k in range(3000)), "1 2 \xff\n"),
+        ("row.ply", PLY_CLOUD.replace("0 2.25 0\n", ""), "1 2 \xff\n"),
+    ],
+    ids=["xyz", "ply"],
+)
+def test_an_undecodable_byte_names_the_file_and_its_offset(tmp_path, capsys, name, head, row):
+    path = tmp_path / name
+    path.write_bytes(head.encode() + row.encode("latin-1"))
+    offset = len(head.encode()) + row.index("\xff")
+    expected = f"{path}: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    with pytest.raises(InvalidInputError) as err:
+        read_cloud(path)
+    assert str(err.value) == expected
+    assert main(["metrics", str(path), str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {expected}\n"

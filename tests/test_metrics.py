@@ -806,6 +806,12 @@ class TestReport:
         report(pred, gt, 0.2, 30.0, partial=partial)
         assert len(nn_calls) == passes
 
+    def test_one_tree_per_cloud(self, rng, index_builds):
+        # every pass searches pred or gt: partial -> pred reuses pred's tree
+        pred, gt, partial = random_cloud(rng, 100), random_cloud(rng, 90), random_cloud(rng, 40)
+        report(pred, gt, 0.2, 30.0, partial=partial)
+        assert sorted(map(len, index_builds)) == [90, 100]
+
 
 class TestMetricReport:
     def test_json_and_csv_round_trip(self):

@@ -324,6 +324,14 @@ def _runs() -> dict[str, list[str]]:
         "optimize", "--init", "guard_p.xyz", "--target", "guard_g.xyz", "--objective", "cd-l2",
         "--step-size", "50", "--steps", "200", "--out-dir", "run",
     ]
+    # XYZ text at the edges of the whole-file conversion: line ends and separators it must
+    # split as str.split does, tokens only float() reads, a trailing comment, no row at all
+    for name in ("cr-only", "form-feed-nbsp", "underscore-full-width", "trailing-comment",
+                 "empty-file", "whitespace-only"):
+        runs[f"metrics-xyz-{name}"] = ["metrics", f"{name}.xyz", "gt.xyz"]
+    # a byte that is not UTF-8, named by the file and its offset in it
+    runs["metrics-xyz-undecodable"] = ["metrics", "undecodable.xyz", "undecodable.xyz"]
+    runs["metrics-ply-undecodable"] = ["metrics", "undecodable.ply", "gt.xyz"]
     return runs
 
 
@@ -433,9 +441,20 @@ def _write_inputs(root: Path) -> None:
     files["mid.ply"] = _ply(["0 0 0", "1e60 0 0", "0 1e60 0"], ["3 0 1 2"])
     files["guard_p.xyz"] = "0 0\n1 0\n"
     files["guard_g.xyz"] = "0.5 0\n3 0\n"
+    files["cr-only.xyz"] = "0 0 0\r1 0.5 0.25\r0.75 1 0\r"
+    files["form-feed-nbsp.xyz"] = "0\f0 0\n\xa0\n1\xa00.5 0.25\f\n0.75 1 0\n"
+    files["underscore-full-width.xyz"] = "1_0 0 0\n\uff11 0.5 0.25\n0.75 1 0\n"
+    files["trailing-comment.xyz"] = "0 0 0\n1 0.5 0.25 # note\n"
+    files["empty-file.xyz"] = ""
+    files["whitespace-only.xyz"] = " \n\t\n\n"
+    files["undecodable.xyz"] = files["e.xyz"].encode() + b"1 2 \xff\n"
+    files["undecodable.ply"] = _ply(["0 0 0", "1 2 \xff"], []).encode("latin-1")
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
-        (root / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (root / name).write_bytes(text)
+        else:
+            (root / name).write_text(text, encoding="utf-8")
     (root / "empty").mkdir()
 
 
